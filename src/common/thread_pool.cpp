@@ -68,72 +68,63 @@ ThreadPool& ThreadPool::global() {
 }
 
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body, std::size_t chunks,
-                  std::size_t grain) {
+                  const std::function<void(std::size_t)>& body, std::size_t grain) {
   if (begin >= end) return;
   const std::size_t n = end - begin;
-  // Inline when parallelism cannot help: a single worker adds only queue
-  // latency, and a nested call from one of this pool's own workers would
-  // block a worker on chunks that are queued behind other blocked workers.
-  if (pool.size() <= 1 || pool.on_worker_thread()) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-  if (chunks == 0) chunks = std::min(n, pool.size() * 4);
   grain = std::max<std::size_t>(1, grain);
-  chunks = std::max<std::size_t>(1, std::min({chunks, n, n / grain}));
-  if (chunks == 1) {
+  const std::size_t blocks = n / grain + (n % grain != 0 ? 1 : 0);
+  const std::size_t claimers = std::min(pool.size(), blocks);
+  // Inline when parallelism cannot help: one claimer adds only queue
+  // latency, and a nested call from one of this pool's own workers would
+  // block a worker on claimers that are queued behind other blocked workers.
+  if (claimers <= 1 || pool.on_worker_thread()) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
 
-  // One shared completion latch instead of one future per chunk: the whole
-  // batch costs a single queue lock and a single broadcast.
-  struct Latch {
+  // One shared cursor and one completion latch for the whole call: the
+  // batch costs a single queue lock and a single broadcast, and each block
+  // costs one relaxed fetch_add. The cursor counts offsets from `begin`;
+  // it overshoots `n` by at most claimers * grain, and grain < n here.
+  struct Shared {
+    std::atomic<std::size_t> cursor{0};
     std::atomic<std::size_t> remaining;
     std::mutex mutex;
     std::condition_variable done;
     std::exception_ptr first_error;
   };
-  auto latch = std::make_shared<Latch>();
-  latch->remaining.store(chunks, std::memory_order_relaxed);
+  auto shared = std::make_shared<Shared>();
+  shared->remaining.store(claimers, std::memory_order_relaxed);
 
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(chunks);
-  const std::size_t base = n / chunks;
-  const std::size_t extra = n % chunks;
-  std::size_t cursor = begin;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t len = base + (c < extra ? 1 : 0);
-    const std::size_t lo = cursor;
-    const std::size_t hi = cursor + len;
-    cursor = hi;
-    tasks.push_back([lo, hi, &body, latch] {
+  const auto claim = [begin, n, grain, &body, shared] {
+    for (;;) {
+      const std::size_t lo = shared->cursor.fetch_add(grain, std::memory_order_relaxed);
+      if (lo >= n) break;
+      const std::size_t hi = std::min(n, lo + grain);
       try {
-        for (std::size_t i = lo; i < hi; ++i) body(i);
+        for (std::size_t i = lo; i < hi; ++i) body(begin + i);
       } catch (...) {
-        std::lock_guard lock(latch->mutex);
-        if (!latch->first_error) latch->first_error = std::current_exception();
+        std::lock_guard lock(shared->mutex);
+        if (!shared->first_error) shared->first_error = std::current_exception();
       }
-      if (latch->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard lock(latch->mutex);
-        latch->done.notify_all();
-      }
-    });
-  }
-  pool.submit_batch(std::move(tasks));
+    }
+    if (shared->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      std::lock_guard lock(shared->mutex);
+      shared->done.notify_all();
+    }
+  };
+  pool.submit_batch(std::vector<std::function<void()>>(claimers, claim));
 
-  std::unique_lock lock(latch->mutex);
-  latch->done.wait(lock, [&] {
-    return latch->remaining.load(std::memory_order_acquire) == 0;
+  std::unique_lock lock(shared->mutex);
+  shared->done.wait(lock, [&] {
+    return shared->remaining.load(std::memory_order_acquire) == 0;
   });
-  if (latch->first_error) std::rethrow_exception(latch->first_error);
+  if (shared->first_error) std::rethrow_exception(shared->first_error);
 }
 
 void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body, std::size_t chunks,
-                  std::size_t grain) {
-  parallel_for(ThreadPool::global(), begin, end, body, chunks, grain);
+                  const std::function<void(std::size_t)>& body, std::size_t grain) {
+  parallel_for(ThreadPool::global(), begin, end, body, grain);
 }
 
 }  // namespace repro

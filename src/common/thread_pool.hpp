@@ -1,17 +1,25 @@
 #pragma once
-// Fixed-size worker pool with a shared task queue, plus a chunked
-// parallel_for built on top of it. Experiments in the harness are
-// embarrassingly parallel (independent seeded runs), so a simple FIFO pool
-// is sufficient; tasks must not throw across the pool boundary unless the
-// caller collects the exception through the returned future.
+// Fixed-size worker pool with a shared task queue, plus a parallel_for built
+// on top of it. Experiments in the harness are embarrassingly parallel
+// (independent seeded runs), so a simple FIFO pool is sufficient; tasks must
+// not throw across the pool boundary unless the caller collects the
+// exception through the returned future.
+//
+// parallel_for hands out work by dynamic block claiming: each call enqueues
+// at most one claimer task per worker, and every claimer repeatedly takes
+// the next `grain` indices from a shared atomic cursor until the range is
+// exhausted. A slow iteration therefore delays only its own claimer; the
+// others keep draining the range, so loops whose per-index cost varies by
+// orders of magnitude (run_study's task list mixes millisecond random-search
+// experiments with BO GP ones of up to a second) keep every worker busy.
+// `grain` is the claim size: uniform-cost loops over many cheap indices
+// pass a larger one so they pay one atomic per block rather than per index.
 //
 // parallel_for is safe to nest: when called from inside a worker of the
-// same pool it degrades to an inline sequential loop instead of submitting
-// chunks the (fully occupied) pool could never schedule — the classic
-// nested fork-join deadlock. Single-worker pools also run inline, skipping
-// queue traffic entirely. Chunks are enqueued in one batch under one lock
-// (not one future per chunk), so a parallel_for over tiny bodies pays one
-// dispatch per chunk, not per index, and one wakeup per batch.
+// same pool it degrades to an inline sequential loop instead of enqueueing
+// claimers the (fully occupied) pool could never schedule — the classic
+// nested fork-join deadlock. Single-worker pools, and ranges that fit in
+// one claim, also run inline, skipping queue traffic entirely.
 
 #include <condition_variable>
 #include <cstddef>
@@ -72,19 +80,17 @@ class ThreadPool {
 };
 
 /// Run body(i) for i in [begin, end) across the pool, blocking until done.
-/// Iterations are split into contiguous chunks, one batch-enqueued task
-/// each. `chunks` overrides the chunk count (0 = pool size x 4); `grain`
-/// caps the split so no chunk holds fewer than `grain` iterations — tiny
-/// loops then run in fewer (or zero) dispatches. Runs inline when nested
-/// inside a worker of the same pool or when the pool has a single worker.
-/// The first exception thrown by any chunk is rethrown on the caller.
+/// Claimer tasks take blocks of `grain` consecutive indices (0 counts as 1)
+/// from a shared cursor until none are left; the caller waits until every
+/// claimer has finished. Runs inline when nested inside a worker of the
+/// same pool, when the pool has a single worker, or when the range fits in
+/// one block. The first exception thrown by `body` is rethrown on the
+/// caller; the block that threw is abandoned, every other block still runs.
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t chunks = 0, std::size_t grain = 1);
+                  const std::function<void(std::size_t)>& body, std::size_t grain = 1);
 
 /// Convenience overload on the global pool.
 void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t chunks = 0, std::size_t grain = 1);
+                  const std::function<void(std::size_t)>& body, std::size_t grain = 1);
 
 }  // namespace repro

@@ -44,6 +44,12 @@ BenchmarkContext::BenchmarkContext(std::shared_ptr<const imagecl::Benchmark> ben
   // CAS-min over exact model values: min is order-independent (no FP
   // accumulation), so the sweep result is deterministic under any schedule.
   std::atomic<double> best{std::numeric_limits<double>::infinity()};  // NOLINT(reprolint-nondet-reduction)
+  // Claims of 4096 indices (one work-group shape, every coarsening) keep the
+  // claimers on neighbouring wg_x values. Static contiguous chunks instead
+  // ran shapes differing only in wg_z side by side; on 2-D images those
+  // clamp to one effective configuration, so two threads found the same
+  // CachedPerfModel slots unset and both evaluated them (about twice the
+  // evaluations overall). A claim per index would pay an atomic per index.
   repro::parallel_for(0, total, [&](std::size_t index) {
     const simgpu::KernelConfig kernel = simgpu::CachedPerfModel::unpack(index);
     if (!kernel.satisfies_wg_constraint()) return;
@@ -57,7 +63,7 @@ BenchmarkContext::BenchmarkContext(std::shared_ptr<const imagecl::Benchmark> ben
     while (time < current &&
            !best.compare_exchange_weak(current, time, std::memory_order_relaxed)) {
     }
-  });
+  }, 4096);
   optimum_us_ = best.load();
   if (!std::isfinite(optimum_us_)) {
     throw std::runtime_error("BenchmarkContext: no executable configuration found");
@@ -84,7 +90,7 @@ BenchmarkContext::BenchmarkContext(std::shared_ptr<const imagecl::Benchmark> ben
       const tuner::Evaluation eval = measure_eval(entry.config, rng, injector);
       entry.value = eval.value;
       entry.valid = eval.valid;
-    });
+    }, 64);
     dataset_ = tuner::Dataset(std::move(entries));
   }
 }

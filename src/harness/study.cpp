@@ -106,7 +106,7 @@ tuner::Configuration rf_pick(const BenchmarkContext& context, std::size_t sample
         pool[i].prediction =
             forest.predict(context.space().normalize(pool[i].config));
       },
-      0, 32);
+      32);
   if (pool.empty()) return rs_pick(context, sample_size, experiment_index);
   const std::size_t keep = std::min<std::size_t>(kPredictions, pool.size());
   std::partial_sort(pool.begin(), pool.begin() + keep, pool.end(),

@@ -168,16 +168,22 @@ TuneResult BoGp::minimize(const ParamSpace& space, Evaluator& evaluator,
       // immutable `proposed` set. Scoring (gp.predict is const and pure)
       // writes indexed slots, so the pipelined overlap cannot change any
       // value; the reduce walks ascending indices with a strict `>` — the
-      // same argmax the sequential loop computed, bit for bit.
-      std::vector<Configuration> candidates(total);
+      // same argmax the sequential loop computed, bit for bit. Candidates
+      // live in one flat buffer of `total` rows of `dims` values: an ask
+      // holds up to 16k of them, and one heap block per candidate would
+      // dominate the ask's peak memory.
+      const std::size_t dims = space.num_params();
+      std::vector<int> candidates(total * dims);
       std::vector<char> eligible(total, 0);
       std::vector<double> scores(total, -1.0);
+      const auto row = [&](std::size_t i) { return candidates.begin() + i * dims; };
       // xi shifts the incumbent to discourage pure exploitation (skopt).
       const double margin = options_.xi * std::abs(incumbent);
 
       const auto generate = [&](std::size_t i) {
+        Configuration candidate;
         if (i < pool_size) {
-          candidates[i] = draw(rng);
+          candidate = draw(rng);
         } else {
           Configuration neighbor = anchor;
           const std::size_t moves = 1 + rng.next_below(2);
@@ -185,16 +191,17 @@ TuneResult BoGp::minimize(const ParamSpace& space, Evaluator& evaluator,
             const std::size_t g = static_cast<std::size_t>(rng.next_below(neighbor.size()));
             neighbor[g] += static_cast<int>(rng.uniform_int(-2, 2));
           }
-          candidates[i] = space.clamp(std::move(neighbor));
+          candidate = space.clamp(std::move(neighbor));
         }
-        const bool blocked_dup = proposed.contains(space.encode(candidates[i]));
+        const bool blocked_dup = proposed.contains(space.encode(candidate));
         const bool blocked_constraint =
-            options_.constraint_aware && !space.is_executable(candidates[i]);
+            options_.constraint_aware && !space.is_executable(candidate);
         eligible[i] = static_cast<char>(!blocked_dup && !blocked_constraint);
+        std::copy(candidate.begin(), candidate.end(), row(i));
       };
       const auto score = [&](std::size_t i) {
         if (eligible[i] == 0) return;
-        const std::vector<double> x = space.normalize(candidates[i]);
+        const std::vector<double> x = space.normalize(Configuration(row(i), row(i + 1)));
         const GpPrediction prediction = gp.predict(x);
         scores[i] = expected_improvement(prediction.mean, prediction.variance,
                                          incumbent - margin);
@@ -204,21 +211,21 @@ TuneResult BoGp::minimize(const ParamSpace& space, Evaluator& evaluator,
                       {options_.pipeline_batch});
       } else {
         for (std::size_t i = 0; i < total; ++i) generate(i);
-        repro::parallel_for(0, total, score, 0, 16);
+        repro::parallel_for(0, total, score, 16);
       }
 
       double best_ei = -1.0;
-      const Configuration* chosen = nullptr;
+      std::size_t chosen = total;
       for (std::size_t i = 0; i < total; ++i) {
         if (eligible[i] != 0 && scores[i] > best_ei) {
           best_ei = scores[i];
-          chosen = &candidates[i];
+          chosen = i;
         }
       }
-      if (chosen == nullptr) {
+      if (chosen == total) {
         observe(draw(rng));
       } else {
-        observe(*chosen);
+        observe(Configuration(row(chosen), row(chosen + 1)));
       }
     }
   } catch (const BudgetExhausted&) {

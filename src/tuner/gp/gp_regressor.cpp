@@ -76,6 +76,11 @@ GpRegressor::CandidateState* GpRegressor::find_candidate(const GpHyperparams& hy
 bool GpRegressor::refactorize_at(PackedCholesky& chol, std::size_t n, double jitter) {
   ++stat_full_refits_;
   chol.clear();
+  // A full refit knows its final size, so it leaves none of the
+  // per-hyperparameter factors with doubling slack. Incremental appends
+  // keep geometric growth: an exact reserve per row would copy the whole
+  // factor on every step.
+  chol.reserve(n);
   std::vector<double> a_row(n);
   // Grouping matters: the reference path writes K(i,i) = signal_variance
   // and then adds (noise + jitter) in one +=, i.e. sv + (noise + jitter).

@@ -60,6 +60,10 @@ class PackedCholesky {
     rows_.clear();
   }
 
+  /// Size the storage for exactly `n` rows, so appending up to `n` rows
+  /// never reallocates and leaves no growth slack behind.
+  void reserve(std::size_t n) { rows_.reserve(n * (n + 1) / 2); }
+
   /// Route the inner reductions of append_row and the triangular solves
   /// through the blocked SIMD kernels. Must be chosen before the first
   /// append (mixing regimes inside one factor would make its rows

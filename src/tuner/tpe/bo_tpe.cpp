@@ -153,7 +153,7 @@ TuneResult BoTpe::minimize(const ParamSpace& space, Evaluator& evaluator,
                       nullptr, {options_.pipeline_batch});
       } else {
         for (std::size_t c = 0; c < count; ++c) generate(c);
-        repro::parallel_for(0, count, score, 0, 64);
+        repro::parallel_for(0, count, score, 64);
       }
       double best_ratio = -std::numeric_limits<double>::infinity();
       Configuration best_candidate;

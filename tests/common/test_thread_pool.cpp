@@ -1,9 +1,11 @@
 // Thread pool and parallel_for behaviour: completeness, exception
-// propagation, chunking edge cases, and future-based task submission.
+// propagation, claim-size edge cases, load balancing under skewed
+// iteration costs, and future-based task submission.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <numeric>
 #include <stdexcept>
@@ -84,12 +86,15 @@ TEST(ParallelFor, PropagatesFirstException) {
       std::runtime_error);
 }
 
-TEST(ParallelFor, ExplicitChunkCounts) {
+TEST(ParallelFor, ExplicitGrains) {
   ThreadPool pool(4);
-  for (std::size_t chunks : {1u, 2u, 7u, 100u, 1000u}) {
-    std::atomic<int> counter{0};
-    parallel_for(pool, 0, 100, [&](std::size_t) { counter.fetch_add(1); }, chunks);
-    EXPECT_EQ(counter.load(), 100) << "chunks=" << chunks;
+  for (std::size_t grain : {0u, 1u, 2u, 7u, 33u, 99u, 100u, 1000u}) {
+    std::vector<std::atomic<int>> hits(100);
+    parallel_for(pool, 0, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); },
+                 grain);
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "grain=" << grain << " i=" << i;
+    }
   }
 }
 
@@ -99,34 +104,56 @@ TEST(ParallelFor, GlobalPoolOverload) {
   EXPECT_EQ(counter.load(), 50);
 }
 
-TEST(ParallelFor, MatchesSequentialLoopForEveryChunkAndGrain) {
+TEST(ParallelFor, MatchesSequentialLoopForEveryGrain) {
   // Slot-indexed writes: the parallel result must equal the sequential loop
-  // element for element, independent of chunking.
+  // element for element, independent of the claim size and of which
+  // claimer ran which block.
   ThreadPool pool(4);
   const std::size_t n = 257;
   std::vector<double> expected(n);
   for (std::size_t i = 0; i < n; ++i) {
     expected[i] = static_cast<double>(i) * 1.5 - 3.0;
   }
-  for (std::size_t chunks : {0u, 1u, 3u, 16u, 300u}) {
-    for (std::size_t grain : {1u, 8u, 64u, 1000u}) {
-      std::vector<double> got(n, 0.0);
-      parallel_for(
-          pool, 0, n,
-          [&](std::size_t i) { got[i] = static_cast<double>(i) * 1.5 - 3.0; },
-          chunks, grain);
-      EXPECT_EQ(got, expected) << "chunks=" << chunks << " grain=" << grain;
-    }
+  for (std::size_t grain : {0u, 1u, 3u, 8u, 16u, 64u, 128u, 256u, 257u, 1000u}) {
+    std::vector<double> got(n, 0.0);
+    parallel_for(
+        pool, 0, n, [&](std::size_t i) { got[i] = static_cast<double>(i) * 1.5 - 3.0; },
+        grain);
+    EXPECT_EQ(got, expected) << "grain=" << grain;
   }
 }
 
 TEST(ParallelFor, GrainCapsDispatchForTinyLoops) {
-  // With grain >= n the loop must still cover every index (it runs as a
-  // single chunk or inline).
+  // With grain >= n the loop must still cover every index (the range fits
+  // in one claim, so it runs inline).
   ThreadPool pool(4);
   std::atomic<int> counter{0};
-  parallel_for(pool, 0, 5, [&](std::size_t) { counter.fetch_add(1); }, 0, 100);
+  parallel_for(pool, 0, 5, [&](std::size_t) { counter.fetch_add(1); }, 100);
   EXPECT_EQ(counter.load(), 5);
+}
+
+TEST(ParallelFor, SlowFirstItemDoesNotStallTheRest) {
+  // Item 0 blocks until every other item has run. A schedule that fixes
+  // contiguous ranges per task before anything runs puts items 1..k behind
+  // item 0 on the same thread and can never satisfy it; with block claiming
+  // the other workers drain the rest of the range while item 0 waits.
+  ThreadPool pool(4);
+  constexpr std::size_t kItems = 64;
+  std::atomic<std::size_t> others_done{0};
+  bool item0_saw_all = false;
+  parallel_for(pool, 0, kItems, [&](std::size_t i) {
+    if (i != 0) {
+      others_done.fetch_add(1);
+      return;
+    }
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (others_done.load() < kItems - 1 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    item0_saw_all = others_done.load() == kItems - 1;
+  });
+  EXPECT_TRUE(item0_saw_all);
+  EXPECT_EQ(others_done.load(), kItems - 1);
 }
 
 TEST(ParallelFor, NestedCallDoesNotDeadlock) {

@@ -1,17 +1,21 @@
 // Study driver: experiment-count arithmetic (the paper's E(S) = 20000/S
 // rule), single-experiment behaviour per algorithm family, a tiny but
 // complete end-to-end study, and the fault-tolerance pipeline (graceful
-// degradation, checkpoint/resume determinism).
+// degradation, checkpoint/resume determinism), and independence of the
+// parallel schedule.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "harness/results_io.hpp"
 #include "harness/study.hpp"
 
@@ -158,6 +162,65 @@ bool results_identical(const StudyResults& a, const StudyResults& b) {
     }
   }
   return true;
+}
+
+TEST(Study, OutcomesIndependentOfSchedule) {
+  // run_study hands its flattened task list to parallel_for; any schedule
+  // must reproduce, bit for bit, a serial replay of every experiment under
+  // run_study's per-experiment seed rule.
+  StudyConfig config = tiny_config();
+  config.algorithms = {"rs", "bogp"};
+  config.sample_sizes = {25, 100};
+  config.faults = simgpu::FaultModel::with_rate(0.10);
+  config.retry.max_retries = 1;
+  const StudyResults results = run_study(config);
+  ASSERT_EQ(results.panels.size(), 1u);
+  const PanelResults& panel = results.panels[0];
+
+  const BenchmarkContext context(imagecl::benchmark_by_name("add"),
+                                 simgpu::arch_by_name("titanv"),
+                                 config.dataset_size_needed(), config.master_seed,
+                                 config.faults);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(context.optimum_us()),
+            std::bit_cast<std::uint64_t>(panel.optimum_us));
+  ExperimentOptions options;
+  options.final_evaluations = config.final_evaluations;
+  options.retry = config.retry;
+  for (std::size_t a = 0; a < config.algorithms.size(); ++a) {
+    const std::string& algorithm = config.algorithms[a];
+    for (std::size_t s = 0; s < config.sample_sizes.size(); ++s) {
+      const std::size_t size = config.sample_sizes[s];
+      const CellOutcomes& cell = panel.cells[a][s];
+      const std::size_t experiments = config.experiments_for(size);
+      ASSERT_EQ(cell.final_times_us.size(), experiments);
+      tuner::FailureCounters failures;
+      std::size_t failed = 0;
+      for (std::size_t e = 0; e < experiments; ++e) {
+        const std::uint64_t seed = seed_combine(
+            seed_combine(config.master_seed, seed_from_string("add/titanv/" + algorithm)),
+            size * 100003ull + e);
+        const ExperimentOutcome outcome =
+            run_experiment_detailed(context, algorithm, size, e, seed, options);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(outcome.final_time_us),
+                  std::bit_cast<std::uint64_t>(cell.final_times_us[e]))
+            << algorithm << " S=" << size << " experiment " << e;
+        failures += outcome.counters;
+        if (std::isnan(outcome.final_time_us)) ++failed;
+      }
+      const std::string where = algorithm + " S=" + std::to_string(size);
+      EXPECT_EQ(cell.failed_experiments, failed) << where;
+      EXPECT_EQ(cell.failures.ok, failures.ok) << where;
+      EXPECT_EQ(cell.failures.invalid, failures.invalid) << where;
+      EXPECT_EQ(cell.failures.transient, failures.transient) << where;
+      EXPECT_EQ(cell.failures.timeout, failures.timeout) << where;
+      EXPECT_EQ(cell.failures.crashed, failures.crashed) << where;
+      EXPECT_EQ(cell.failures.retries, failures.retries) << where;
+      EXPECT_EQ(cell.failures.retry_successes, failures.retry_successes) << where;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(cell.failures.backoff_us),
+                std::bit_cast<std::uint64_t>(failures.backoff_us))
+          << where;
+    }
+  }
 }
 
 TEST(Study, FaultsProduceTalliesButNeverAbortTheCampaign) {

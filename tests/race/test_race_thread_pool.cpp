@@ -4,12 +4,16 @@
 // The pool's contract under concurrency: tasks submitted from any number of
 // threads all run exactly once; destruction drains the queue; parallel_for
 // is safe to call from several driver threads at once and from inside a
-// worker (inline fallback).
+// worker (inline fallback); its claimers never touch `body` once the shared
+// cursor is exhausted, and the caller returns — or rethrows — only after
+// every claimer has finished.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -111,6 +115,86 @@ TEST(RaceThreadPool, ExceptionFromChunkPropagatesOnce) {
                           }),
       std::runtime_error);
   EXPECT_GE(ran.load(), 1u);
+}
+
+TEST(RaceThreadPool, ExceptionMidClaimWaitsForLiveClaimers) {
+  // Index 100 throws while the other claimers are inside `body`. The caller
+  // must rethrow only after they have all left it, every block but the
+  // throwing one must still run exactly once, and the rest of the throwing
+  // block (101..103 at grain 8) is abandoned.
+  ThreadPool pool(4);
+  constexpr std::size_t kItems = 256;
+  constexpr std::size_t kGrain = 8;
+  constexpr std::size_t kThrowAt = 100;
+  std::vector<std::atomic<int>> hits(kItems);
+  std::atomic<int> inside{0};
+  std::atomic<bool> threw_beside_live_claimer{false};
+  EXPECT_THROW(
+      repro::parallel_for(
+          pool, 0, kItems,
+          [&](std::size_t i) {
+            inside.fetch_add(1);
+            hits[i].fetch_add(1);
+            if (i == kThrowAt) {
+              // Throw only once another claimer is live (bounded wait).
+              const auto deadline =
+                  std::chrono::steady_clock::now() + std::chrono::seconds(5);
+              while (inside.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+                std::this_thread::yield();
+              }
+              threw_beside_live_claimer.store(inside.load() >= 2);
+              inside.fetch_sub(1);
+              throw std::runtime_error("boom");
+            }
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+            inside.fetch_sub(1);
+          },
+          kGrain),
+      std::runtime_error);
+  EXPECT_EQ(inside.load(), 0) << "a claimer was still inside body after the rethrow";
+  EXPECT_TRUE(threw_beside_live_claimer.load());
+  const std::size_t block_end = (kThrowAt / kGrain + 1) * kGrain;
+  for (std::size_t i = 0; i < kItems; ++i) {
+    const int expected = (i > kThrowAt && i < block_end) ? 0 : 1;
+    EXPECT_EQ(hits[i].load(), expected) << "index " << i;
+  }
+}
+
+TEST(RaceThreadPool, LateClaimerDoesNotTouchBody) {
+  // One of the two workers is parked, so the other runs both claimers back
+  // to back: the first drains the whole range, the second starts with the
+  // cursor already exhausted and must exit without calling `body`.
+  ThreadPool pool(2);
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::atomic<bool> parked{false};
+  std::future<void> blocker = pool.submit([&parked, gate] {
+    parked.store(true);
+    gate.wait();
+  });
+  while (!parked.load()) std::this_thread::yield();
+
+  constexpr std::size_t kItems = 40;
+  std::vector<int> hits(kItems, 0);  // one thread writes, the caller reads
+  std::atomic<std::size_t> calls{0};
+  std::atomic<std::size_t> out_of_range{0};
+  repro::parallel_for(
+      pool, 0, kItems,
+      [&](std::size_t i) {
+        calls.fetch_add(1);
+        if (i >= kItems) {
+          out_of_range.fetch_add(1);
+          return;
+        }
+        ++hits[i];
+      },
+      4);
+  release.set_value();
+  blocker.get();
+
+  EXPECT_EQ(calls.load(), kItems);
+  EXPECT_EQ(out_of_range.load(), 0u);
+  for (std::size_t i = 0; i < kItems; ++i) EXPECT_EQ(hits[i], 1) << "index " << i;
 }
 
 }  // namespace
