@@ -8,16 +8,19 @@
 //   history   — instead of silently overwriting the previous snapshot, the
 //               driver carries forward the `history` array of the existing
 //               --out file (when present and parseable) and appends one
-//               compact entry per run: date, git revision, smoke flag, and
-//               the per-suite headline medians. The verbatim reports stay
-//               current-run-only; the history is the cheap longitudinal
-//               record reviewers diff across PRs.
+//               compact entry per run: date, git revision, smoke flag, host
+//               shape (google-benchmark's num_cpus and library_build_type)
+//               and the per-suite headline medians. The verbatim reports
+//               stay current-run-only; the history is the cheap
+//               longitudinal record reviewers diff across PRs.
 //   --check B — regression mode: run the suites, compute the same headline
 //               medians, and compare them against the suites recorded in
 //               baseline file B. Fails (exit 1) when a suite's median
 //               exceeds 3x its baseline — generous on purpose; this
 //               container's timings are noisy, and the gate exists to catch
-//               order-of-magnitude regressions, not percent drift.
+//               order-of-magnitude regressions, not percent drift. A host
+//               shape that differs from the baseline's is reported, but
+//               does not change the verdict.
 //
 // CI runs it under the `perf` CTest label in --smoke mode (short
 // --benchmark_min_time), asserting every suite runs, emits parseable JSON,
@@ -27,6 +30,7 @@
 // build directory); --bin-dir overrides that for out-of-tree invocations.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -152,10 +156,52 @@ struct Headline {
   std::size_t benchmarks = 0;
 };
 
+/// The machine a run was measured on, as google-benchmark's context
+/// reports it. num_cpus < 0 / empty build_type = not recorded.
+struct HostShape {
+  std::int64_t num_cpus = -1;
+  std::string build_type;
+
+  [[nodiscard]] bool known() const { return num_cpus >= 0 || !build_type.empty(); }
+  [[nodiscard]] bool operator==(const HostShape&) const = default;
+};
+
+/// Read num_cpus and library_build_type from an object holding them (a
+/// suite report's `context`, or a history entry).
+HostShape host_shape_fields(const repro::Json& object) {
+  HostShape shape;
+  const repro::Json* cpus = object.find("num_cpus");
+  if (cpus != nullptr && cpus->is_number()) shape.num_cpus = cpus->as_int64();
+  const repro::Json* type = object.find("library_build_type");
+  if (type != nullptr && type->is_string()) shape.build_type = type->as_string();
+  return shape;
+}
+
+HostShape host_shape_of(const repro::Json& report) {
+  const repro::Json* context = report.find("context");
+  if (context == nullptr || !context->is_object()) return {};
+  return host_shape_fields(*context);
+}
+
 std::size_t benchmark_count(const repro::Json& report) {
   const repro::Json* benchmarks = report.find("benchmarks");
   if (benchmarks == nullptr || !benchmarks->is_array()) return 0;
   return benchmarks->as_array().size();
+}
+
+/// Host shape of a merged BENCH_micro document: its first suite report
+/// that records one.
+HostShape host_shape_of_merged(const repro::Json& merged) {
+  const repro::Json* suites = merged.find("suites");
+  if (suites == nullptr || !suites->is_array()) return {};
+  for (const repro::Json& entry : suites->as_array()) {
+    if (!entry.is_object()) continue;
+    const repro::Json* report = entry.find("report");
+    if (report == nullptr) continue;
+    const HostShape shape = host_shape_of(*report);
+    if (shape.known()) return shape;
+  }
+  return {};
 }
 
 /// Per-suite headline medians of a merged BENCH_micro document.
@@ -211,12 +257,19 @@ void json_escape(std::string& out, const std::string& text) {
 }
 
 std::string format_history_entry(const std::string& date, const std::string& rev,
-                                 bool smoke, const std::vector<Headline>& headlines) {
+                                 bool smoke, const HostShape& shape,
+                                 const std::vector<Headline>& headlines) {
   std::string out = "    {\"date\": \"";
   json_escape(out, date);
   out += "\", \"rev\": \"";
   json_escape(out, rev);
   out += std::string("\", \"smoke\": ") + (smoke ? "true" : "false");
+  if (shape.num_cpus >= 0) out += ", \"num_cpus\": " + std::to_string(shape.num_cpus);
+  if (!shape.build_type.empty()) {
+    out += ", \"library_build_type\": \"";
+    json_escape(out, shape.build_type);
+    out += "\"";
+  }
   out += ", \"headlines\": [";
   bool first = true;
   for (const Headline& headline : headlines) {
@@ -275,7 +328,8 @@ std::vector<std::string> prior_history_entries(const std::string& out_path) {
       const bool was_smoke =
           smoke != nullptr && smoke->is_bool() && smoke->as_bool();
       entries.push_back(format_history_entry(date->as_string(), rev->as_string(),
-                                             was_smoke, parsed));
+                                             was_smoke, host_shape_fields(entry),
+                                             parsed));
     }
   } catch (const std::exception& error) {
     std::cerr << "bench_micro: existing " << out_path
@@ -285,9 +339,15 @@ std::vector<std::string> prior_history_entries(const std::string& out_path) {
   return entries;
 }
 
+std::string describe(const HostShape& shape) {
+  return "num_cpus " + (shape.num_cpus >= 0 ? std::to_string(shape.num_cpus) : "?") +
+         ", library_build_type " + (shape.build_type.empty() ? "?" : shape.build_type);
+}
+
 /// 3x-envelope regression comparison against a baseline merged document.
 /// Suites absent from the baseline (newly added) are reported and skipped.
-int check_against_baseline(const std::string& baseline_path,
+/// A host shape differing from the baseline's is reported, not judged.
+int check_against_baseline(const std::string& baseline_path, const HostShape& shape,
                            const std::vector<Headline>& current) {
   const std::string text = read_file(baseline_path);
   if (text.empty()) {
@@ -295,11 +355,18 @@ int check_against_baseline(const std::string& baseline_path,
     return 1;
   }
   std::vector<Headline> baseline;
+  HostShape baseline_shape;
   try {
-    baseline = headlines_of(repro::Json::parse(text));
+    const repro::Json merged = repro::Json::parse(text);
+    baseline = headlines_of(merged);
+    baseline_shape = host_shape_of_merged(merged);
   } catch (const std::exception& error) {
     std::cerr << "bench_micro: baseline unparseable: " << error.what() << "\n";
     return 1;
+  }
+  if (shape != baseline_shape) {
+    std::cerr << "bench_micro: host shape differs from baseline: " << describe(shape)
+              << " vs " << describe(baseline_shape) << "\n";
   }
   constexpr double kTolerance = 3.0;
   int failures = 0;
@@ -362,6 +429,7 @@ int main(int argc, char** argv) {
   merged += "  \"suites\": [\n";
 
   std::vector<Headline> headlines;
+  HostShape shape;
   bool first = true;
   for (const char* suite : kSuites) {
     const std::filesystem::path binary =
@@ -386,6 +454,7 @@ int main(int argc, char** argv) {
       const repro::Json parsed = repro::Json::parse(report);
       headlines.push_back(
           {suite, headline_median_ns(parsed), benchmark_count(parsed)});
+      if (!shape.known()) shape = host_shape_of(parsed);
     } catch (const std::exception& error) {
       std::cerr << "bench_micro: " << suite
                 << " report failed to parse: " << error.what() << "\n";
@@ -403,7 +472,7 @@ int main(int argc, char** argv) {
 
   merged += "  \"history\": [\n";
   for (const std::string& entry : history) merged += entry + ",\n";
-  merged += format_history_entry(today_utc(), git_revision(), options.smoke,
+  merged += format_history_entry(today_utc(), git_revision(), options.smoke, shape,
                                  headlines);
   merged += "\n  ]\n}\n";
 
@@ -422,7 +491,7 @@ int main(int argc, char** argv) {
             << history.size() + 1 << " history entries)\n";
 
   if (!options.check.empty()) {
-    return check_against_baseline(options.check, headlines);
+    return check_against_baseline(options.check, shape, headlines);
   }
   return 0;
 }

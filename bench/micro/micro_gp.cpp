@@ -35,11 +35,10 @@ TrainingSet make_training_set(std::size_t n) {
 
 void BM_GpFit(benchmark::State& state) {
   const auto set = make_training_set(static_cast<std::size_t>(state.range(0)));
-  GpRegressor gp(GpHyperparams{0.3, 1.0, 1e-2});
-  // Reference path: with the incremental caches on, refitting an unchanged
-  // training set is (deliberately) free, which is not what this measures.
-  gp.set_incremental(false);
   for (auto _ : state) {
+    // A fresh regressor per iteration: refitting an unchanged training set
+    // on a warm one is (deliberately) free, which is not what this measures.
+    GpRegressor gp(GpHyperparams{0.3, 1.0, 1e-2});
     benchmark::DoNotOptimize(gp.fit(set.x, set.y));
   }
   state.SetComplexityN(state.range(0));
@@ -47,21 +46,25 @@ void BM_GpFit(benchmark::State& state) {
 BENCHMARK(BM_GpFit)->Arg(25)->Arg(50)->Arg(100)->Arg(200)->Complexity();
 
 // The BO-GP hot path: refit after every appended observation, as minimize()
-// does from 10 points up to n. Second argument toggles the incremental
-// (append-row Cholesky + distance cache) machinery; both variants produce
-// bit-identical factors, so the ratio is pure refit cost — the perf gate
-// compares them (BENCH_micro.json).
+// does from 10 points up to n. The second argument picks one persistent
+// regressor (1: append-row Cholesky + distance cache reused across steps)
+// or a fresh regressor per step (0: every fit factorizes from scratch).
+// Both produce bit-identical factors, so the ratio is pure refit cost.
 void BM_GpSequentialRefit(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const bool incremental = state.range(1) != 0;
+  const bool persistent = state.range(1) != 0;
   const auto set = make_training_set(n);
   const std::span<const std::vector<double>> xs(set.x);
   const std::span<const double> ys(set.y);
   for (auto _ : state) {
     GpRegressor gp(GpHyperparams{0.3, 1.0, 1e-2});
-    gp.set_incremental(incremental);
     for (std::size_t m = 10; m <= n; ++m) {
-      benchmark::DoNotOptimize(gp.fit(xs.first(m), ys.first(m)));
+      if (persistent) {
+        benchmark::DoNotOptimize(gp.fit(xs.first(m), ys.first(m)));
+      } else {
+        GpRegressor fresh(GpHyperparams{0.3, 1.0, 1e-2});
+        benchmark::DoNotOptimize(fresh.fit(xs.first(m), ys.first(m)));
+      }
     }
   }
   state.SetComplexityN(state.range(0));
@@ -99,7 +102,6 @@ void BM_GpFitLargeHistory(benchmark::State& state) {
   const char* mode = "";
   for (auto _ : state) {
     GpRegressor gp(GpHyperparams{0.3, 1.0, 1e-2});
-    gp.set_incremental(false);
     gp.set_sparse_options(sparse);
     benchmark::DoNotOptimize(gp.fit(set.x, set.y));
     mode = repro::tuner::surrogate_mode_name(gp.mode());

@@ -57,20 +57,6 @@ double sqdist_scalar(const double* a, const double* b, std::size_t n) noexcept {
   return total;
 }
 
-double sum_scalar(const double* x, std::size_t n) noexcept {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    s0 += x[i];
-    s1 += x[i + 1];
-    s2 += x[i + 2];
-    s3 += x[i + 3];
-  }
-  double total = (s0 + s1) + (s2 + s3);
-  for (; i < n; ++i) total += x[i];
-  return total;
-}
-
 double sumsq_scalar(const double* x, std::size_t n) noexcept {
   double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
   std::size_t i = 0;
@@ -135,20 +121,6 @@ __attribute__((target("sse3"))) double sqdist_sse2(const double* a, const double
   return total;
 }
 
-__attribute__((target("sse3"))) double sum_sse2(const double* x,
-                                                std::size_t n) noexcept {
-  __m128d acc01 = _mm_setzero_pd();
-  __m128d acc23 = _mm_setzero_pd();
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    acc01 = _mm_add_pd(acc01, _mm_loadu_pd(x + i));
-    acc23 = _mm_add_pd(acc23, _mm_loadu_pd(x + i + 2));
-  }
-  double total = combine_sse2(acc01, acc23);
-  for (; i < n; ++i) total += x[i];
-  return total;
-}
-
 __attribute__((target("sse3"))) double sumsq_sse2(const double* x,
                                                   std::size_t n) noexcept {
   __m128d acc01 = _mm_setzero_pd();
@@ -201,18 +173,6 @@ __attribute__((target("avx2"))) double sqdist_avx2(const double* a, const double
     const double d = a[i] - b[i];
     total += d * d;
   }
-  return total;
-}
-
-__attribute__((target("avx2"))) double sum_avx2(const double* x,
-                                                std::size_t n) noexcept {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    acc = _mm256_add_pd(acc, _mm256_loadu_pd(x + i));
-  }
-  double total = combine_avx2(acc);
-  for (; i < n; ++i) total += x[i];
   return total;
 }
 
@@ -318,17 +278,6 @@ double sum_squares(const double* x, std::size_t n) noexcept {
   }
 #endif
   return sumsq_scalar(x, n);
-}
-
-double sum(const double* x, std::size_t n) noexcept {
-#if REPRO_SIMD_X86
-  switch (active_tier()) {
-    case Tier::kAvx2: return sum_avx2(x, n);
-    case Tier::kSse2: return sum_sse2(x, n);
-    case Tier::kScalar: break;
-  }
-#endif
-  return sum_scalar(x, n);
 }
 
 namespace seq {

@@ -71,9 +71,6 @@ Tier set_tier(Tier tier) noexcept;
 /// sum_i x[i]^2 under the fixed-blocking schedule.
 [[nodiscard]] double sum_squares(const double* x, std::size_t n) noexcept;
 
-/// sum_i x[i] under the fixed-blocking schedule.
-[[nodiscard]] double sum(const double* x, std::size_t n) noexcept;
-
 namespace seq {
 
 // --- canonical sequential kernels ------------------------------------------

@@ -100,17 +100,17 @@ double BenchmarkContext::true_time_us(const tuner::Configuration& config) const 
   const simgpu::KernelConfig kernel = to_kernel_config(config);
   const std::uint64_t key = simgpu::CachedPerfModel::pack(kernel);
   double total = 0.0;
-  if (memoize_means_ && mean_cache_.lookup(key, total)) return total;
+  if (mean_cache_.lookup(key, total)) return total;
   for (const auto& cache : pass_caches_) {
     const double pass_time = cache->time_us(kernel);
     if (std::isnan(pass_time)) {
       // NaN is memoized too: "invalid" is as deterministic as any mean.
-      if (memoize_means_) mean_cache_.store(key, pass_time);
+      mean_cache_.store(key, pass_time);
       return pass_time;
     }
     total += pass_time;
   }
-  if (memoize_means_) mean_cache_.store(key, total);
+  mean_cache_.store(key, total);
   return total;
 }
 

@@ -50,10 +50,6 @@ class BenchmarkContext {
   /// are bit-identical, so this only changes wall-clock.
   [[nodiscard]] double true_time_us(const tuner::Configuration& config) const;
 
-  /// Toggle the shared mean memo table (on by default; off recomputes the
-  /// per-pass sum every call — the reference path for tests/benches).
-  void set_mean_memoization(bool enabled) noexcept { memoize_means_ = enabled; }
-  [[nodiscard]] bool mean_memoization() const noexcept { return memoize_means_; }
   [[nodiscard]] const simgpu::MeanCache& mean_cache() const noexcept {
     return mean_cache_;
   }
@@ -121,7 +117,6 @@ class BenchmarkContext {
   std::vector<std::unique_ptr<simgpu::CachedPerfModel>> pass_caches_;
   /// Memo of the summed-over-passes mean, keyed by the packed launch config.
   mutable simgpu::MeanCache mean_cache_;
-  bool memoize_means_ = true;
   simgpu::NoiseModel noise_;
   simgpu::FaultModel faults_;
   tuner::ParamSpace space_;

@@ -8,7 +8,6 @@
 
 #include "common/thread_pool.hpp"
 #include "stats/descriptive.hpp"
-#include "tuner/pipeline.hpp"
 
 namespace repro::tuner {
 
@@ -85,7 +84,6 @@ TuneResult BoGp::minimize(const ParamSpace& space, Evaluator& evaluator,
     for (std::size_t i = 0; i < init; ++i) observe(draw(rng));
 
     GpRegressor gp;
-    gp.set_incremental(options_.incremental_gp);
     gp.set_sparse_options(options_.sparse);
     std::size_t last_hyperopt = 0;
     for (;;) {
@@ -163,12 +161,12 @@ TuneResult BoGp::minimize(const ParamSpace& space, Evaluator& evaluator,
       const Configuration anchor = with_neighbors ? evaluator.best_config() : Configuration{};
       const std::size_t total = pool_size + neighbor_count;
 
-      // Generation consumes the RNG stream — same draws, same order as the
-      // fused loop — and decides eligibility per candidate against the
-      // immutable `proposed` set. Scoring (gp.predict is const and pure)
-      // writes indexed slots, so the pipelined overlap cannot change any
-      // value; the reduce walks ascending indices with a strict `>` — the
-      // same argmax the sequential loop computed, bit for bit. Candidates
+      // Generation consumes the RNG stream on the calling thread, in
+      // ascending index order, and decides eligibility per candidate
+      // against the immutable `proposed` set. Scoring (gp.predict is const
+      // and pure) writes indexed slots, so which worker scores a candidate
+      // cannot change any value; the reduce walks ascending indices with a
+      // strict `>`, so the argmax is the same on every schedule. Candidates
       // live in one flat buffer of `total` rows of `dims` values: an ask
       // holds up to 16k of them, and one heap block per candidate would
       // dominate the ask's peak memory.
@@ -180,7 +178,7 @@ TuneResult BoGp::minimize(const ParamSpace& space, Evaluator& evaluator,
       // xi shifts the incumbent to discourage pure exploitation (skopt).
       const double margin = options_.xi * std::abs(incumbent);
 
-      const auto generate = [&](std::size_t i) {
+      for (std::size_t i = 0; i < total; ++i) {
         Configuration candidate;
         if (i < pool_size) {
           candidate = draw(rng);
@@ -198,21 +196,14 @@ TuneResult BoGp::minimize(const ParamSpace& space, Evaluator& evaluator,
             options_.constraint_aware && !space.is_executable(candidate);
         eligible[i] = static_cast<char>(!blocked_dup && !blocked_constraint);
         std::copy(candidate.begin(), candidate.end(), row(i));
-      };
-      const auto score = [&](std::size_t i) {
+      }
+      repro::parallel_for(0, total, [&](std::size_t i) {
         if (eligible[i] == 0) return;
         const std::vector<double> x = space.normalize(Configuration(row(i), row(i + 1)));
         const GpPrediction prediction = gp.predict(x);
         scores[i] = expected_improvement(prediction.mean, prediction.variance,
                                          incumbent - margin);
-      };
-      if (options_.pipelined_ask) {
-        pipelined_ask(ThreadPool::global(), total, generate, score, nullptr,
-                      {options_.pipeline_batch});
-      } else {
-        for (std::size_t i = 0; i < total; ++i) generate(i);
-        repro::parallel_for(0, total, score, 16);
-      }
+      }, 16);
 
       double best_ei = -1.0;
       std::size_t chosen = total;

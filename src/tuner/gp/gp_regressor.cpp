@@ -13,9 +13,9 @@ namespace repro::tuner {
 namespace {
 
 // Jitter escalation ladder: 1e-10, 1e-8, ..., 1e-2. Every factorization
-// path (reference, incremental append, escalation) iterates these exact
-// doubles — generated by the same multiplication — so a cached "this ladder
-// value failed" conclusion transfers bit-exactly between paths.
+// path (incremental append, escalation) iterates these exact doubles —
+// generated by the same multiplication — so a cached "this ladder value
+// failed" conclusion transfers bit-exactly between paths.
 constexpr double kJitterStart = 1e-10;
 constexpr double kJitterEnd = 1e-2;
 constexpr double kJitterStep = 100.0;
@@ -82,8 +82,8 @@ bool GpRegressor::refactorize_at(PackedCholesky& chol, std::size_t n, double jit
   // factor on every step.
   chol.reserve(n);
   std::vector<double> a_row(n);
-  // Grouping matters: the reference path writes K(i,i) = signal_variance
-  // and then adds (noise + jitter) in one +=, i.e. sv + (noise + jitter).
+  // Grouping matters: a dense fit writes K(i,i) = signal_variance and then
+  // adds (noise + jitter) in one +=, i.e. sv + (noise + jitter).
   const double diag =
       hyper_.signal_variance + (hyper_.noise_variance + jitter);
   for (std::size_t i = 0; i < n; ++i) {
@@ -242,32 +242,6 @@ bool GpRegressor::fit_on(std::span<const std::vector<double>> X, std::span<const
     y_mean_ = y_mean;
     y_std_ = y_std;
     for (std::size_t i = 0; i < n; ++i) ys[i] = (y[i] - y_mean_) / y_std_;
-  }
-
-  if (!incremental_) {
-    // Reference path: dense covariance + from-scratch factorization, as a
-    // plain GP implementation would do every step. Kept both as the oracle
-    // the incremental path is tested against and for micro-benchmarks.
-    X_.assign(X.begin(), X.end());
-    dist_.clear();
-    candidates_.clear();
-    for (double jitter = kJitterStart; jitter <= kJitterEnd; jitter *= kJitterStep) {
-      Matrix k(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j <= i; ++j) {
-          const double value = kernel(X_[i], X_[j]);
-          k.at(i, j) = value;
-          k.at(j, i) = value;
-        }
-        k.at(i, i) += hyper_.noise_variance + jitter;
-      }
-      if (!cholesky_inplace(k, blocked_)) continue;
-      chol_ = PackedCholesky::from_lower(k, blocked_);
-      finish_fit(ys);
-      return true;
-    }
-    fitted_ = false;
-    return false;
   }
 
   // Relate X to the cached training set: identical, an append, or a reset.

@@ -16,7 +16,8 @@
 // grown incrementally (it is hyperparameter-independent), so kernel
 // rebuilds cost O(n^2) matérn evaluations instead of O(n^2 d) distance
 // computations per candidate. All cached paths produce bit-identical
-// chol_/alpha_/lml_ to a from-scratch fit; tests assert this.
+// chol_/alpha_/lml_ to a dense from-scratch fit; tests/tuner/test_gp.cpp
+// checks this against a test-side reference implementation.
 //
 // Large histories: even the O(n^2) incremental refit stops scaling once the
 // history grows to tens of thousands of points. Above a configurable
@@ -101,13 +102,7 @@ class GpRegressor {
   [[nodiscard]] bool fitted() const noexcept { return fitted_; }
   [[nodiscard]] std::size_t num_points() const noexcept { return X_.size(); }
 
-  /// Disable the incremental factor/distance caches (every fit then runs
-  /// the reference from-scratch path). For tests and micro-benchmarks; both
-  /// modes produce bit-identical results.
-  void set_incremental(bool enabled) noexcept { incremental_ = enabled; }
-  [[nodiscard]] bool incremental() const noexcept { return incremental_; }
-
-  /// Current factor / weights (exposed for the bit-identity tests).
+  /// Current factor / weights (exposed for the reference-oracle tests).
   [[nodiscard]] const PackedCholesky& cholesky() const noexcept { return chol_; }
   [[nodiscard]] std::span<const double> alpha() const noexcept { return alpha_; }
 
@@ -154,7 +149,7 @@ class GpRegressor {
   /// Append rows [state.chol.size(), n) to a candidate factor at its
   /// current jitter, escalating (from-scratch refactorization at the next
   /// ladder values) when an appended pivot fails. Returns false when the
-  /// ladder is exhausted. Bit-identical to the reference path.
+  /// ladder is exhausted. Bit-identical to a dense from-scratch fit.
   bool factorize(CandidateState& state, std::size_t n);
 
   /// From-scratch factorization at one jitter value via append_row.
@@ -176,7 +171,6 @@ class GpRegressor {
   SparseGpOptions sparse_;
   SurrogateMode mode_ = SurrogateMode::kExact;
   bool blocked_ = false;  ///< arithmetic regime; tracks mode_
-  bool incremental_ = true;
   std::size_t basis_ = 0;            ///< history size the core was drawn from
   std::vector<std::size_t> core_;    ///< landmark indices, ascending
   std::vector<std::vector<double>> X_;

@@ -9,7 +9,6 @@
 
 #include "common/simd.hpp"
 #include "common/thread_pool.hpp"
-#include "tuner/pipeline.hpp"
 
 namespace repro::tuner {
 
@@ -117,18 +116,17 @@ TuneResult BoTpe::minimize(const ParamSpace& space, Evaluator& evaluator,
       }
 
       // Sample candidates from l(x), rank by l(x)/g(x). Sampling stays
-      // sequential (it consumes the RNG stream); scoring is pure per
-      // candidate, so the pipeline overlaps it with later sampling into
-      // indexed slots, and the argmax reduces in ascending candidate order
-      // with a strict `>` — the same winner the fused sequential loop
-      // picked. The per-dimension log-ratio terms go through the shared
-      // sequential sum kernel (same left-to-right accumulation the fused
-      // loop used).
+      // sequential on the calling thread (it consumes the RNG stream);
+      // scoring is pure per candidate and writes indexed slots, and the
+      // argmax reduces in ascending candidate order with a strict `>`, so
+      // the winner does not depend on which worker scored what. The
+      // per-dimension log-ratio terms go through the shared sequential sum
+      // kernel (same left-to-right accumulation the fused loop used).
       const std::size_t count = options_.ei_candidates;
       std::vector<Configuration> batch(count);
       std::vector<char> eligible(count, 0);
       std::vector<double> scores(count, 0.0);
-      const auto generate = [&](std::size_t c) {
+      for (std::size_t c = 0; c < count; ++c) {
         Configuration candidate(space.num_params());
         for (std::size_t d = 0; d < space.num_params(); ++d) {
           candidate[d] = good_model[d].sample(rng);
@@ -138,8 +136,8 @@ TuneResult BoTpe::minimize(const ParamSpace& space, Evaluator& evaluator,
             options_.constraint_aware && !space.is_executable(candidate);
         eligible[c] = static_cast<char>(!dup && !infeasible);
         batch[c] = std::move(candidate);
-      };
-      const auto score = [&](std::size_t c) {
+      }
+      repro::parallel_for(0, count, [&](std::size_t c) {
         if (eligible[c] == 0) return;
         std::vector<double> terms(space.num_params());
         for (std::size_t d = 0; d < space.num_params(); ++d) {
@@ -147,14 +145,7 @@ TuneResult BoTpe::minimize(const ParamSpace& space, Evaluator& evaluator,
                      std::log(bad_model[d].probability(batch[c][d]));
         }
         scores[c] = simd::seq::sum(terms.data(), terms.size());
-      };
-      if (options_.pipelined_ask) {
-        pipelined_ask(repro::ThreadPool::global(), count, generate, score,
-                      nullptr, {options_.pipeline_batch});
-      } else {
-        for (std::size_t c = 0; c < count; ++c) generate(c);
-        repro::parallel_for(0, count, score, 64);
-      }
+      }, 64);
       double best_ratio = -std::numeric_limits<double>::infinity();
       Configuration best_candidate;
       for (std::size_t c = 0; c < count; ++c) {

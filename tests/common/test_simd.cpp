@@ -79,7 +79,6 @@ TEST(Simd, BlockedKernelsAreBitIdenticalAcrossTiers) {
     const double dot0 = repro::simd::dot(a.data(), b.data(), n);
     const double dist0 = repro::simd::squared_distance(a.data(), b.data(), n);
     const double sq0 = repro::simd::sum_squares(a.data(), n);
-    const double sum0 = repro::simd::sum(a.data(), n);
 
     for (const Tier tier : {Tier::kSse2, Tier::kAvx2}) {
       if (repro::simd::set_tier(tier) != tier) continue;  // unsupported here
@@ -90,8 +89,6 @@ TEST(Simd, BlockedKernelsAreBitIdenticalAcrossTiers) {
           << "sqdist, n=" << n << ", tier=" << repro::simd::tier_name(tier);
       EXPECT_TRUE(bytes_equal(sq0, repro::simd::sum_squares(a.data(), n)))
           << "sumsq, n=" << n << ", tier=" << repro::simd::tier_name(tier);
-      EXPECT_TRUE(bytes_equal(sum0, repro::simd::sum(a.data(), n)))
-          << "sum, n=" << n << ", tier=" << repro::simd::tier_name(tier);
     }
   }
 }

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
+#include <memory>
+#include <vector>
 
 #include "harness/context.hpp"
 
@@ -188,43 +192,84 @@ TEST(Context, FaultAwareRepeatedMeasureDropsFaultedRepeats) {
 }
 
 
-TEST(Context, MeanMemoizationIsBitIdenticalToRecomputation) {
-  // Two contexts over the same benchmark/arch/seed, one consulting the
-  // shared mean memo and one recomputing the per-pass sum every call: every
-  // mean and every noisy measurement stream must match bit for bit.
-  BenchmarkContext memoized(small_add(), simgpu::titan_v(), 0, 42);
-  BenchmarkContext recomputed(small_add(), simgpu::titan_v(), 0, 42);
-  recomputed.set_mean_memoization(false);
-  ASSERT_TRUE(memoized.mean_memoization());
-  ASSERT_FALSE(recomputed.mean_memoization());
-
-  repro::Rng sampler(17);
-  repro::Rng rng_a(18), rng_b(18);
-  for (int i = 0; i < 200; ++i) {
-    const tuner::Configuration config = memoized.space().sample(sampler);
-    const double mean_a = memoized.true_time_us(config);
-    const double mean_b = recomputed.true_time_us(config);
-    if (std::isnan(mean_b)) {
-      EXPECT_TRUE(std::isnan(mean_a));
-    } else {
-      ASSERT_EQ(std::memcmp(&mean_a, &mean_b, sizeof(double)), 0) << i;
-    }
-    const double noisy_a = memoized.measure_us(config, rng_a);
-    const double noisy_b = recomputed.measure_us(config, rng_b);
-    if (!std::isnan(noisy_b)) {
-      ASSERT_EQ(std::memcmp(&noisy_a, &noisy_b, sizeof(double)), 0) << i;
+/// The noiseless mean without the context's memo table: a direct sum over
+/// the benchmark's passes, each through its own model cache.
+class DirectMeans {
+ public:
+  DirectMeans(const imagecl::Benchmark& benchmark, const simgpu::GpuArch& arch) {
+    for (const simgpu::PerfModel& pass : benchmark.passes()) {
+      passes_.push_back(std::make_unique<simgpu::CachedPerfModel>(pass, arch));
     }
   }
-  // The noise streams advanced identically and the memo actually engaged.
-  EXPECT_EQ(rng_a(), rng_b());
-  EXPECT_GT(memoized.mean_cache().hits(), 0u);
-  EXPECT_GT(memoized.mean_cache().size(), 0u);
+
+  [[nodiscard]] double operator()(const tuner::ParamSpace& space,
+                                  const tuner::Configuration& config) const {
+    if (!space.in_range(config)) return std::numeric_limits<double>::quiet_NaN();
+    const simgpu::KernelConfig kernel = to_kernel_config(config);
+    double total = 0.0;
+    for (const auto& pass : passes_) {
+      const double pass_time = pass->time_us(kernel);
+      if (std::isnan(pass_time)) return pass_time;
+      total += pass_time;
+    }
+    return total;
+  }
+
+ private:
+  std::vector<std::unique_ptr<simgpu::CachedPerfModel>> passes_;
+};
+
+bool same_mean(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+std::vector<tuner::Configuration> sample_configs(const tuner::ParamSpace& space,
+                                                 std::uint64_t seed, int count) {
+  repro::Rng sampler(seed);
+  std::vector<tuner::Configuration> configs;
+  for (int i = 0; i < count; ++i) configs.push_back(space.sample(sampler));
+  return configs;
+}
+
+TEST(Context, MeanMemoizationIsBitIdenticalToRecomputation) {
+  // true_time_us memoizes the summed-over-passes mean. Every mean must
+  // equal the direct per-pass sum, and a context whose memo is already
+  // warm (every lookup hits) must give the same noisy measurement stream
+  // as a cold one (first lookups miss and fill the memo).
+  BenchmarkContext warm(small_add(), simgpu::titan_v(), 0, 42);
+  BenchmarkContext cold(small_add(), simgpu::titan_v(), 0, 42);
+  const DirectMeans direct(*small_add(), simgpu::titan_v());
+  const std::vector<tuner::Configuration> configs = sample_configs(warm.space(), 17, 200);
+  for (const tuner::Configuration& config : configs) (void)warm.true_time_us(config);
+  const std::uint64_t warm_hits = warm.mean_cache().hits();
+
+  repro::Rng rng_warm(18), rng_cold(18);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const double expected = direct(warm.space(), configs[i]);
+    ASSERT_TRUE(same_mean(cold.true_time_us(configs[i]), expected)) << i;
+    ASSERT_TRUE(same_mean(warm.true_time_us(configs[i]), expected)) << i;
+    const double noisy_cold = cold.measure_us(configs[i], rng_cold);
+    const double noisy_warm = warm.measure_us(configs[i], rng_warm);
+    ASSERT_TRUE(same_mean(noisy_warm, noisy_cold)) << i;
+  }
+  // The noise streams advanced identically, every warm lookup hit, and the
+  // cold memo filled on first use.
+  EXPECT_EQ(rng_warm(), rng_cold());
+  EXPECT_EQ(warm.mean_cache().hits() - warm_hits, 2 * configs.size());
+  EXPECT_GE(cold.mean_cache().hits(), configs.size());
+  EXPECT_GT(cold.mean_cache().size(), 0u);
 }
 
 TEST(Context, MeanMemoizationIdenticalUnderFaults) {
-  BenchmarkContext memoized(small_add(), simgpu::titan_v(), 0, 42);
-  BenchmarkContext recomputed(small_add(), simgpu::titan_v(), 0, 42);
-  recomputed.set_mean_memoization(false);
+  // The same warm-versus-cold comparison through the fault-injecting
+  // measurement path: statuses, validity and values must all agree, and a
+  // configuration whose direct mean is invalid never measures valid.
+  BenchmarkContext warm(small_add(), simgpu::titan_v(), 0, 42);
+  BenchmarkContext cold(small_add(), simgpu::titan_v(), 0, 42);
+  const DirectMeans direct(*small_add(), simgpu::titan_v());
+  const std::vector<tuner::Configuration> configs = sample_configs(warm.space(), 19, 100);
+  for (const tuner::Configuration& config : configs) (void)warm.true_time_us(config);
 
   simgpu::FaultModel faults;
   faults.enabled = true;
@@ -232,21 +277,20 @@ TEST(Context, MeanMemoizationIdenticalUnderFaults) {
   faults.timeout_probability = 0.05;
   faults.reset_probability = 0.02;
 
-  simgpu::FaultInjector injector_a(faults, 77);
-  simgpu::FaultInjector injector_b(faults, 77);
-  repro::Rng sampler(19);
-  repro::Rng rng_a(20), rng_b(20);
-  for (int i = 0; i < 100; ++i) {
-    const tuner::Configuration config = memoized.space().sample(sampler);
-    const tuner::Evaluation a = memoized.measure_eval(config, rng_a, injector_a);
-    const tuner::Evaluation b = recomputed.measure_eval(config, rng_b, injector_b);
+  simgpu::FaultInjector injector_warm(faults, 77);
+  simgpu::FaultInjector injector_cold(faults, 77);
+  repro::Rng rng_warm(20), rng_cold(20);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const tuner::Evaluation a = warm.measure_eval(configs[i], rng_warm, injector_warm);
+    const tuner::Evaluation b = cold.measure_eval(configs[i], rng_cold, injector_cold);
     ASSERT_EQ(a.status, b.status) << i;
     ASSERT_EQ(a.valid, b.valid) << i;
-    if (!std::isnan(b.value)) {
-      ASSERT_EQ(std::memcmp(&a.value, &b.value, sizeof(double)), 0) << i;
+    ASSERT_TRUE(same_mean(a.value, b.value)) << i;
+    if (std::isnan(direct(warm.space(), configs[i]))) {
+      EXPECT_FALSE(a.valid) << i;
     }
   }
-  EXPECT_EQ(rng_a(), rng_b());
+  EXPECT_EQ(rng_warm(), rng_cold());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.hpp"
 #include "tests/tuner/test_objectives.hpp"
 #include "tuner/gp/bo_gp.hpp"
 
@@ -119,62 +120,27 @@ TEST(BoGp, ConstraintAwareModeNeverProposesInvalid) {
 }
 
 
-TEST(BoGp, IncrementalGpProducesIdenticalTuneResult) {
-  // The incremental-Cholesky surrogate is a pure wall-clock optimization:
-  // with the same seed, the full tuning trace — every proposal, every
-  // measurement — must be identical with it on or off.
+TEST(BoGp, MinimizeInPoolTaskMatchesCallingThread) {
+  // On the calling thread, acquisition scoring fans out over the global
+  // pool (parallel_for); inside a pool task the same call runs inline.
+  // Candidate generation and the argmax stay on the proposing thread, so
+  // both schedules must produce the same trace, measurement by measurement.
   const ParamSpace space = paper_search_space();
-  BoGpOptions fast;
-  fast.incremental_gp = true;
-  BoGpOptions slow;
-  slow.incremental_gp = false;
-
   for (std::uint64_t seed : {3u, 11u}) {
-    std::size_t calls_fast = 0;
-    Evaluator eval_fast(space, testing::bowl_objective(&calls_fast), 45);
-    repro::Rng rng_fast(seed);
-    const TuneResult a = BoGp(fast).minimize(space, eval_fast, rng_fast);
-
-    std::size_t calls_slow = 0;
-    Evaluator eval_slow(space, testing::bowl_objective(&calls_slow), 45);
-    repro::Rng rng_slow(seed);
-    const TuneResult b = BoGp(slow).minimize(space, eval_slow, rng_slow);
-
-    EXPECT_EQ(calls_fast, calls_slow) << "seed " << seed;
-    EXPECT_EQ(a.best_config, b.best_config) << "seed " << seed;
-    EXPECT_EQ(a.best_value, b.best_value) << "seed " << seed;
-    EXPECT_EQ(a.evaluations_used, b.evaluations_used) << "seed " << seed;
-    // The RNG streams advanced identically (same number of draws).
-    EXPECT_EQ(rng_fast(), rng_slow()) << "seed " << seed;
-  }
-}
-
-TEST(BoGp, PipelinedAskProducesIdenticalTuneResult) {
-  // The double-buffered ask pipeline only reorders *when* scoring work runs
-  // relative to candidate generation — generation stays sequential on the
-  // proposing thread (RNG stream untouched) and scoring is pure per index,
-  // so the full trace must match the serial path bit for bit.
-  const ParamSpace space = paper_search_space();
-  BoGpOptions piped;
-  piped.pipelined_ask = true;
-  BoGpOptions serial;
-  serial.pipelined_ask = false;
-
-  for (std::uint64_t seed : {3u, 11u}) {
-    std::size_t calls_piped = 0;
-    Evaluator eval_piped(space, testing::bowl_objective(&calls_piped), 45);
-    repro::Rng rng_piped(seed);
-    const TuneResult a = BoGp(piped).minimize(space, eval_piped, rng_piped);
-
-    std::size_t calls_serial = 0;
-    Evaluator eval_serial(space, testing::bowl_objective(&calls_serial), 45);
-    repro::Rng rng_serial(seed);
-    const TuneResult b = BoGp(serial).minimize(space, eval_serial, rng_serial);
-
-    EXPECT_EQ(calls_piped, calls_serial) << "seed " << seed;
-    EXPECT_EQ(a.best_config, b.best_config) << "seed " << seed;
-    EXPECT_EQ(a.best_value, b.best_value) << "seed " << seed;
-    EXPECT_EQ(rng_piped(), rng_serial()) << "seed " << seed;
+    BoGp on_caller;
+    const testing::TracedRun a = testing::traced_minimize(on_caller, space, 45, seed);
+    const testing::TracedRun b = repro::ThreadPool::global()
+                                     .submit([&space, seed] {
+                                       BoGp in_task;
+                                       return testing::traced_minimize(in_task, space,
+                                                                       45, seed);
+                                     })
+                                     .get();
+    EXPECT_EQ(a.measured.size(), 45u) << "seed " << seed;
+    EXPECT_EQ(a.measured, b.measured) << "seed " << seed;
+    EXPECT_EQ(a.result.best_config, b.result.best_config) << "seed " << seed;
+    EXPECT_EQ(a.result.best_value, b.result.best_value) << "seed " << seed;
+    EXPECT_EQ(a.next_draw, b.next_draw) << "seed " << seed;
   }
 }
 

@@ -1,14 +1,22 @@
 // Gaussian process regressor: kernel shape, interpolation, uncertainty,
-// hyperparameter selection, and the Expected Improvement acquisition.
+// hyperparameter selection, the Expected Improvement acquisition, and bit
+// identity of the append-row refits against a dense reference fit.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/simd.hpp"
+#include "stats/descriptive.hpp"
+#include "tests/tuner/dense_reference.hpp"
 #include "tuner/gp/bo_gp.hpp"
 #include "tuner/gp/gp_regressor.hpp"
 
@@ -140,21 +148,157 @@ TEST(ExpectedImprovement, NonNegative) {
 }
 
 
-// --- incremental (append-row) refits vs the reference path ------------------
+// --- persistent (append-row) regressor vs a dense reference fit -------------
+
+/// A plain GP fit, the textbook way: standardize the targets, build the
+/// dense covariance and factorize it from scratch, walking the jitter
+/// ladder 1e-10, 1e-8, ..., 1e-2 until a factorization succeeds.
+struct ReferenceGp {
+  GpHyperparams hyper;
+  double jitter = 0.0;
+  reference::Matrix chol;
+  std::vector<double> alpha;
+  double lml = 0.0;
+  double y_mean = 0.0;
+  double y_std = 1.0;
+  std::vector<std::vector<double>> x;
+};
+
+double reference_kernel(const GpHyperparams& hyper, std::span<const double> a,
+                        std::span<const double> b) {
+  const double sq = simd::seq::squared_distance(a.data(), b.data(), a.size());
+  return matern52(std::sqrt(sq), hyper.lengthscale, hyper.signal_variance);
+}
+
+std::optional<ReferenceGp> reference_fit(const GpHyperparams& hyper,
+                                         const std::vector<std::vector<double>>& x,
+                                         const std::vector<double>& y) {
+  const std::size_t n = x.size();
+  ReferenceGp fit;
+  fit.hyper = hyper;
+  fit.x = x;
+  fit.y_mean = stats::mean(y);
+  fit.y_std = std::max(stats::stddev(y), 1e-12);
+  std::vector<double> ys(n);
+  for (std::size_t i = 0; i < n; ++i) ys[i] = (y[i] - fit.y_mean) / fit.y_std;
+  for (double jitter = 1e-10; jitter <= 1e-2; jitter *= 100.0) {
+    reference::Matrix k(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j <= i; ++j) {
+        const double value = reference_kernel(hyper, x[i], x[j]);
+        k.at(i, j) = value;
+        k.at(j, i) = value;
+      }
+      k.at(i, i) += hyper.noise_variance + jitter;
+    }
+    if (!reference::cholesky_inplace(k)) continue;
+    fit.jitter = jitter;
+    fit.chol = std::move(k);
+    fit.alpha.assign(n, 0.0);
+    reference::solve_cholesky(fit.chol, ys, fit.alpha);
+    fit.lml = -0.5 * simd::seq::dot(ys.data(), fit.alpha.data(), n) -
+              reference::log_diag_sum(fit.chol) -
+              0.5 * static_cast<double>(n) * std::log(2.0 * 3.14159265358979323846);
+    return fit;
+  }
+  return std::nullopt;
+}
+
+GpPrediction reference_predict(const ReferenceGp& fit, std::span<const double> query) {
+  const std::size_t n = fit.x.size();
+  std::vector<double> k_star(n);
+  for (std::size_t i = 0; i < n; ++i) k_star[i] = reference_kernel(fit.hyper, query, fit.x[i]);
+  GpPrediction out;
+  out.mean = simd::seq::dot(k_star.data(), fit.alpha.data(), n) * fit.y_std + fit.y_mean;
+  std::vector<double> v(n);
+  reference::solve_lower(fit.chol, k_star, v);
+  const double var_std =
+      std::max(0.0, fit.hyper.signal_variance + fit.hyper.noise_variance -
+                        simd::seq::sum_squares(v.data(), n));
+  out.variance = var_std * fit.y_std * fit.y_std;
+  return out;
+}
+
+/// The MAP grid search optimize_hyperparams runs (lengthscale x noise grid,
+/// lognormal priors, first strict maximum wins), over reference fits.
+/// Returns `start` when no grid point fits.
+GpHyperparams reference_map(const GpHyperparams& start,
+                            const std::vector<std::vector<double>>& x,
+                            const std::vector<double>& y) {
+  const auto log_prior = [](const GpHyperparams& h) {
+    const double dl = std::log(h.lengthscale / 0.5);
+    const double dn = std::log(h.noise_variance / 1e-2);
+    return -0.5 * (dl * dl) / (0.8 * 0.8) - 0.5 * (dn * dn) / (2.0 * 2.0);
+  };
+  GpHyperparams best = start;
+  double best_posterior = -std::numeric_limits<double>::infinity();
+  for (double lengthscale : {0.1, 0.2, 0.35, 0.6, 1.0}) {
+    for (double noise : {1e-3, 1e-2, 1e-1}) {
+      const GpHyperparams hyper{lengthscale, 1.0, noise};
+      const std::optional<ReferenceGp> fit = reference_fit(hyper, x, y);
+      if (!fit) continue;
+      const double posterior = fit->lml + log_prior(hyper);
+      if (posterior > best_posterior) {
+        best_posterior = posterior;
+        best = hyper;
+      }
+    }
+  }
+  return best;
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+/// Hyperparameters, factor, weights, LML and one prediction, bit for bit.
+::testing::AssertionResult matches_reference(const GpRegressor& gp, const ReferenceGp& ref,
+                                              std::span<const double> query) {
+  if (gp.hyperparams().lengthscale != ref.hyper.lengthscale ||
+      gp.hyperparams().signal_variance != ref.hyper.signal_variance ||
+      gp.hyperparams().noise_variance != ref.hyper.noise_variance) {
+    return ::testing::AssertionFailure() << "hyperparameters differ";
+  }
+  const PackedCholesky& chol = gp.cholesky();
+  if (chol.size() != ref.chol.size()) {
+    return ::testing::AssertionFailure()
+           << "factor size " << chol.size() << " vs " << ref.chol.size();
+  }
+  for (std::size_t i = 0; i < chol.size(); ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      if (!same_bits(chol.at(i, j), ref.chol.at(i, j))) {
+        return ::testing::AssertionFailure() << "chol(" << i << "," << j << ")";
+      }
+    }
+  }
+  const std::span<const double> alpha = gp.alpha();
+  if (alpha.size() != ref.alpha.size()) return ::testing::AssertionFailure() << "alpha size";
+  for (std::size_t i = 0; i < alpha.size(); ++i) {
+    if (!same_bits(alpha[i], ref.alpha[i])) {
+      return ::testing::AssertionFailure() << "alpha[" << i << "]";
+    }
+  }
+  if (!same_bits(gp.log_marginal_likelihood(), ref.lml)) {
+    return ::testing::AssertionFailure() << "LML";
+  }
+  const GpPrediction got = gp.predict(query);
+  const GpPrediction want = reference_predict(ref, query);
+  if (!same_bits(got.mean, want.mean)) return ::testing::AssertionFailure() << "mean";
+  if (!same_bits(got.variance, want.variance)) {
+    return ::testing::AssertionFailure() << "variance";
+  }
+  return ::testing::AssertionSuccess();
+}
 
 TEST(GpRegressor, IncrementalFitBitIdenticalToReference) {
   // Grow a training set one observation at a time, as BO GP does, and
-  // compare the incremental regressor against a from-scratch reference fit
-  // at every step: factor, weights, LML, and predictions must match bit for
-  // bit, including through hyperparameter searches and a non-prefix refit.
+  // compare one persistent regressor (its factors grow by appended rows)
+  // against a dense from-scratch reference fit at every step, including
+  // through the MAP hyperparameter searches.
   repro::Rng rng(1234);
   std::vector<std::vector<double>> xs;
   std::vector<double> ys;
 
-  GpRegressor incremental;
-  GpRegressor reference;
-  reference.set_incremental(false);
-
+  GpRegressor gp;
+  GpHyperparams hyper;  // the reference's current hyperparameters
   const std::vector<double> query = {0.3, 0.8, 0.1, 0.6, 0.4, 0.9};
   for (std::size_t step = 0; step < 60; ++step) {
     std::vector<double> point(6);
@@ -165,54 +309,20 @@ TEST(GpRegressor, IncrementalFitBitIdenticalToReference) {
     ys.push_back(target + 0.05 * rng.normal());
     if (xs.size() < 2) continue;
 
-    bool ok_inc = false;
-    bool ok_ref = false;
+    bool ok = false;
     if (step % 20 == 0) {
-      ok_inc = incremental.optimize_hyperparams(xs, ys);
-      ok_ref = reference.optimize_hyperparams(xs, ys);
+      ok = gp.optimize_hyperparams(xs, ys);
+      hyper = reference_map(hyper, xs, ys);
     } else {
-      ok_inc = incremental.fit(xs, ys);
-      ok_ref = reference.fit(xs, ys);
+      ok = gp.fit(xs, ys);
     }
-    ASSERT_EQ(ok_inc, ok_ref) << "step " << step;
-    if (!ok_inc) continue;
-
-    // Selected hyperparameters agree exactly.
-    ASSERT_EQ(incremental.hyperparams().lengthscale,
-              reference.hyperparams().lengthscale);
-    ASSERT_EQ(incremental.hyperparams().noise_variance,
-              reference.hyperparams().noise_variance);
-    ASSERT_EQ(incremental.log_marginal_likelihood(),
-              reference.log_marginal_likelihood());
-
-    // chol_ and alpha_ agree bitwise.
-    const auto& ci = incremental.cholesky();
-    const auto& cr = reference.cholesky();
-    ASSERT_EQ(ci.size(), cr.size());
-    for (std::size_t i = 0; i < ci.size(); ++i) {
-      for (std::size_t j = 0; j <= i; ++j) {
-        const double a = ci.at(i, j);
-        const double b = cr.at(i, j);
-        ASSERT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
-            << "step " << step << " chol(" << i << "," << j << ")";
-      }
-    }
-    const auto ai = incremental.alpha();
-    const auto ar = reference.alpha();
-    ASSERT_EQ(ai.size(), ar.size());
-    for (std::size_t i = 0; i < ai.size(); ++i) {
-      ASSERT_EQ(std::memcmp(&ai[i], &ar[i], sizeof(double)), 0)
-          << "step " << step << " alpha[" << i << "]";
-    }
-
-    const GpPrediction pi = incremental.predict(query);
-    const GpPrediction pr = reference.predict(query);
-    ASSERT_EQ(std::memcmp(&pi.mean, &pr.mean, sizeof(double)), 0);
-    ASSERT_EQ(std::memcmp(&pi.variance, &pr.variance, sizeof(double)), 0);
+    const std::optional<ReferenceGp> ref = reference_fit(hyper, xs, ys);
+    ASSERT_EQ(ok, ref.has_value()) << "step " << step;
+    if (!ok) continue;
+    ASSERT_TRUE(matches_reference(gp, *ref, query)) << "step " << step;
   }
   // The incremental machinery actually engaged (appends dominate).
-  EXPECT_GT(incremental.incremental_rows(), 100u);
-  EXPECT_EQ(reference.incremental_rows(), 0u);
+  EXPECT_GT(gp.incremental_rows(), 100u);
 }
 
 TEST(GpRegressor, IncrementalHandlesNonPrefixRefit) {
@@ -231,47 +341,44 @@ TEST(GpRegressor, IncrementalHandlesNonPrefixRefit) {
     return set;
   };
 
-  GpRegressor incremental;
-  GpRegressor reference;
-  reference.set_incremental(false);
-
+  GpRegressor gp;
   const auto first = make_set(20);
-  ASSERT_TRUE(incremental.fit(first.first, first.second));
+  ASSERT_TRUE(gp.fit(first.first, first.second));
   // Entirely different set of a smaller size: not a prefix.
   const auto second = make_set(15);
-  ASSERT_TRUE(incremental.fit(second.first, second.second));
-  ASSERT_TRUE(reference.fit(second.first, second.second));
-
-  ASSERT_EQ(incremental.cholesky().size(), reference.cholesky().size());
-  for (std::size_t i = 0; i < incremental.cholesky().size(); ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      const double a = incremental.cholesky().at(i, j);
-      const double b = reference.cholesky().at(i, j);
-      ASSERT_EQ(std::memcmp(&a, &b, sizeof(double)), 0);
-    }
-  }
+  ASSERT_TRUE(gp.fit(second.first, second.second));
+  const std::optional<ReferenceGp> ref = reference_fit(GpHyperparams{}, second.first,
+                                                       second.second);
+  ASSERT_TRUE(ref.has_value());
+  EXPECT_TRUE(matches_reference(gp, *ref, std::vector<double>{0.2, 0.7, 0.4, 0.9}));
 }
 
 TEST(GpRegressor, IncrementalSurvivesNonSpdEscalation) {
-  // Duplicate points make K singular at tiny jitter; the escalation ladder
-  // must end at the same jitter (hence the same factor) in both modes.
-  std::vector<std::vector<double>> xs = {{0.5}, {0.5}, {0.5}, {0.9}};
-  std::vector<double> ys = {1.0, 1.0, 1.0, 2.0};
-  GpRegressor incremental(GpHyperparams{0.3, 1.0, 1e-9});
-  GpRegressor reference(GpHyperparams{0.3, 1.0, 1e-9});
-  reference.set_incremental(false);
-  const bool ok_inc = incremental.fit(xs, ys);
-  const bool ok_ref = reference.fit(xs, ys);
-  ASSERT_EQ(ok_inc, ok_ref);
-  if (!ok_inc) return;
-  ASSERT_EQ(incremental.cholesky().size(), reference.cholesky().size());
-  for (std::size_t i = 0; i < incremental.cholesky().size(); ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      const double a = incremental.cholesky().at(i, j);
-      const double b = reference.cholesky().at(i, j);
-      ASSERT_EQ(std::memcmp(&a, &b, sizeof(double)), 0);
-    }
-  }
+  // Signal variance 2^20 and no noise: the smallest jitter (1e-10) is
+  // below half an ulp of the diagonal, so it rounds away, and with a
+  // power-of-two pivot a duplicated point's Schur complement cancels to
+  // exactly zero. The factorization fails and the ladder escalates.
+  // Appending the duplicates to a factor built at the bottom of the ladder
+  // must end at the same jitter, hence the same factor, as a from-scratch
+  // reference fit.
+  const GpHyperparams hyper{0.3, 1048576.0, 0.0};
+  GpRegressor gp(hyper);
+  std::vector<std::vector<double>> xs = {{0.5}, {0.9}};
+  std::vector<double> ys = {1.0, 2.0};
+  ASSERT_TRUE(gp.fit(xs, ys));
+  const std::optional<ReferenceGp> distinct = reference_fit(hyper, xs, ys);
+  ASSERT_TRUE(distinct.has_value());
+  EXPECT_EQ(distinct->jitter, 1e-10);
+  EXPECT_TRUE(matches_reference(gp, *distinct, std::vector<double>{0.7}));
+
+  xs.insert(xs.end(), {{0.5}, {0.5}});
+  ys.insert(ys.end(), {1.0, 1.0});
+  const bool ok = gp.fit(xs, ys);
+  const std::optional<ReferenceGp> duplicated = reference_fit(hyper, xs, ys);
+  ASSERT_EQ(ok, duplicated.has_value());
+  ASSERT_TRUE(ok);
+  EXPECT_GT(duplicated->jitter, 1e-10);
+  EXPECT_TRUE(matches_reference(gp, *duplicated, std::vector<double>{0.7}));
 }
 
 }  // namespace

@@ -1,4 +1,6 @@
-// Dense linear algebra for the GP: Cholesky, triangular solves, properties.
+// Linear algebra for the GP: the dense reference Cholesky and solves (the
+// oracle), and the packed append-row factor production code uses, held to
+// bit-identity with it.
 
 #include <gtest/gtest.h>
 
@@ -7,10 +9,17 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "tests/tuner/dense_reference.hpp"
 #include "tuner/gp/linalg.hpp"
 
 namespace repro::tuner {
 namespace {
+
+using reference::cholesky_inplace;
+using reference::log_diag_sum;
+using reference::Matrix;
+using reference::solve_cholesky;
+using reference::solve_lower;
 
 Matrix random_spd(std::size_t n, repro::Rng& rng) {
   // A = B B^T + n*I is symmetric positive definite.
@@ -140,18 +149,21 @@ TEST(PackedCholesky, AppendRowsBitIdenticalToFullFactorization) {
 }
 
 TEST(PackedCholesky, FromLowerMatchesAppendRows) {
+  // The dense factor's lower triangle, packed row by row, is exactly the
+  // storage an append-built factor exposes through at().
   repro::Rng rng(8);
   Matrix a = random_spd(9, rng);
   Matrix full = a;
   ASSERT_TRUE(cholesky_inplace(full));
-  const PackedCholesky via_matrix = PackedCholesky::from_lower(full);
+  const std::vector<double> via_matrix = reference::packed_lower(full);
   PackedCholesky via_append;
   for (std::size_t i = 0; i < 9; ++i) {
     ASSERT_TRUE(via_append.append_row(matrix_row(a, i)));
   }
+  ASSERT_EQ(via_matrix.size(), 9u * 10u / 2u);
   for (std::size_t i = 0; i < 9; ++i) {
     for (std::size_t j = 0; j <= i; ++j) {
-      const double lhs = via_matrix.at(i, j);
+      const double lhs = via_matrix[i * (i + 1) / 2 + j];
       const double rhs = via_append.at(i, j);
       EXPECT_EQ(std::memcmp(&lhs, &rhs, sizeof(double)), 0);
     }
@@ -195,7 +207,8 @@ TEST(PackedCholesky, SolvesMatchMatrixSolves) {
   Matrix a = random_spd(n, rng);
   Matrix full = a;
   ASSERT_TRUE(cholesky_inplace(full));
-  const PackedCholesky packed = PackedCholesky::from_lower(full);
+  PackedCholesky packed;
+  for (std::size_t i = 0; i < n; ++i) ASSERT_TRUE(packed.append_row(matrix_row(a, i)));
 
   std::vector<double> b(n);
   for (auto& v : b) v = rng.uniform(-2.0, 2.0);

@@ -4,10 +4,13 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "tuner/evaluator.hpp"
 #include "tuner/search_space.hpp"
+#include "tuner/tuner.hpp"
 
 namespace repro::tuner::testing {
 
@@ -41,6 +44,29 @@ inline Objective gated_bowl_objective(const ParamSpace& space) {
     for (int v : config) value += static_cast<double>((v - 4) * (v - 4));
     return Evaluation{value, true};
   };
+}
+
+/// One seeded run of a search on the bowl: every measured configuration in
+/// order, the result, and the next draw of the search's RNG (which shows
+/// how far the stream advanced).
+struct TracedRun {
+  std::vector<Configuration> measured;
+  TuneResult result;
+  repro::Rng::result_type next_draw = 0;
+};
+
+inline TracedRun traced_minimize(SearchAlgorithm& algorithm, const ParamSpace& space,
+                                 std::size_t budget, std::uint64_t seed) {
+  TracedRun run;
+  const Objective bowl = bowl_objective();
+  Evaluator evaluator(space, [&run, &bowl](const Configuration& config) {
+    run.measured.push_back(config);
+    return bowl(config);
+  }, budget);
+  repro::Rng rng(seed);
+  run.result = algorithm.minimize(space, evaluator, rng);
+  run.next_draw = rng();
+  return run;
 }
 
 /// Expected value of the bowl for a uniform random executable draw,

@@ -4,6 +4,7 @@
 
 #include <array>
 
+#include "common/thread_pool.hpp"
 #include "tests/tuner/test_objectives.hpp"
 #include "tuner/tpe/bo_tpe.hpp"
 
@@ -121,29 +122,30 @@ TEST(BoTpe, DeterministicGivenSeed) {
   EXPECT_EQ(results[0].best_config, results[1].best_config);
 }
 
-TEST(BoTpe, PipelinedAskProducesIdenticalTuneResult) {
-  // With a batch smaller than the candidate pool the scorer overlaps with
-  // generation; generation order and the RNG stream are untouched, so the
-  // trace must match the serial path exactly.
+TEST(BoTpe, MinimizeInPoolTaskMatchesCallingThread) {
+  // On the calling thread, log-ratio scoring fans out over the global pool
+  // (parallel_for, 64 candidates per claim); inside a pool task it runs
+  // inline. 200 candidates per round span several claims, so the calling
+  // thread's run really splits. Sampling stays on the proposing thread, so
+  // the traces must match measurement by measurement.
   const ParamSpace space = paper_search_space();
-  BoTpeOptions piped;
-  piped.pipelined_ask = true;
-  piped.pipeline_batch = 8;  // ei_candidates (24) spans several batches
-  BoTpeOptions serial;
-  serial.pipelined_ask = false;
-
+  BoTpeOptions options;
+  options.ei_candidates = 200;
   for (std::uint64_t seed : {5u, 19u}) {
-    Evaluator eval_piped(space, testing::bowl_objective(), 50);
-    repro::Rng rng_piped(seed);
-    const TuneResult a = BoTpe(piped).minimize(space, eval_piped, rng_piped);
-
-    Evaluator eval_serial(space, testing::bowl_objective(), 50);
-    repro::Rng rng_serial(seed);
-    const TuneResult b = BoTpe(serial).minimize(space, eval_serial, rng_serial);
-
-    EXPECT_EQ(a.best_config, b.best_config) << "seed " << seed;
-    EXPECT_EQ(a.best_value, b.best_value) << "seed " << seed;
-    EXPECT_EQ(rng_piped(), rng_serial()) << "seed " << seed;
+    BoTpe on_caller(options);
+    const testing::TracedRun a = testing::traced_minimize(on_caller, space, 50, seed);
+    const testing::TracedRun b = repro::ThreadPool::global()
+                                     .submit([&space, &options, seed] {
+                                       BoTpe in_task(options);
+                                       return testing::traced_minimize(in_task, space,
+                                                                       50, seed);
+                                     })
+                                     .get();
+    EXPECT_EQ(a.measured.size(), 50u) << "seed " << seed;
+    EXPECT_EQ(a.measured, b.measured) << "seed " << seed;
+    EXPECT_EQ(a.result.best_config, b.result.best_config) << "seed " << seed;
+    EXPECT_EQ(a.result.best_value, b.result.best_value) << "seed " << seed;
+    EXPECT_EQ(a.next_draw, b.next_draw) << "seed " << seed;
   }
 }
 
