@@ -98,9 +98,9 @@ void BM_WalRecoverReplay(benchmark::State& state) {
     }
     state.ResumeTiming();
     service::SessionManager recovered(limits);
-    const service::RecoveryStats stats = recovered.recover();
+    const service::MetricsSnapshot stats = recovered.recover();
     benchmark::DoNotOptimize(stats);
-    replayed += stats.tells_replayed;
+    replayed += stats[service::Metric::kTellsReplayed];
     state.PauseTiming();
     recovered.close(id);
     (void)::rmdir(dir.c_str());

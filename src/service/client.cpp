@@ -77,11 +77,6 @@ void Client::disconnect() {
   connected_ = false;
 }
 
-ChaosCounters Client::chaos_counters() const noexcept {
-  if (chaos_ == nullptr) return {};
-  return chaos_->counters();
-}
-
 Json Client::call(const Json& request) {
   if (!connected_)
     throw ClientError(ClientError::Kind::kNotConnected, "client is not connected");

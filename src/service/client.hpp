@@ -171,9 +171,6 @@ class Client {
   [[nodiscard]] RemoteResult remote_minimize(const OpenParams& params,
                                              const tuner::Objective& objective);
 
-  /// Fault-injection tallies of the current connection's injector (zeroes
-  /// when chaos is disabled or not connected).
-  [[nodiscard]] ChaosCounters chaos_counters() const noexcept;
   /// Transport retries performed over this client's lifetime.
   [[nodiscard]] std::size_t retries() const noexcept { return retries_; }
   /// Reconnects performed over this client's lifetime (excludes the first

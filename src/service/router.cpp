@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <iterator>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -135,15 +134,10 @@ std::optional<Json> bounded_call(const std::string& host, std::uint16_t port,
   const Json* draining = status.find("draining");
   if (draining != nullptr && draining->is_bool() && draining->as_bool())
     return ShardHealth::kDegraded;
-  const Json* enabled = status.find("ship_enabled");
-  if (enabled != nullptr && enabled->is_bool() && enabled->as_bool()) {
-    const Json* connected = status.find("ship_connected");
-    const Json* fenced = status.find("ship_fenced");
-    if (fenced != nullptr && fenced->is_bool() && fenced->as_bool())
-      return ShardHealth::kDegraded;
-    if (connected == nullptr || !connected->is_bool() || !connected->as_bool())
-      return ShardHealth::kDegraded;
-  }
+  const MetricsSnapshot metrics = MetricsSnapshot::decode(status);
+  if (metrics[Metric::kShipEnabled] != 0 &&
+      (metrics[Metric::kShipFenced] != 0 || metrics[Metric::kShipConnected] == 0))
+    return ShardHealth::kDegraded;
   // A re-seeding shard is serving but its follower has not caught up to
   // the live watermark yet — placeable, not preferred.
   const Json* ship_state = status.find("ship_state");
@@ -894,32 +888,14 @@ Json Router::route_store_export(const Json& request, Downstreams& downstreams) {
 }
 
 Json Router::aggregate_status() {
-  Json response = make_ok();
-  response.set("server", config_.name);
-  response.set("version", static_cast<std::uint64_t>(kProtocolVersion));
-  response.set("role", "router");
-  std::uint64_t live = 0, opened = 0, closed = 0, evicted = 0, finished = 0;
-  std::uint64_t asks = 0, tells = 0, duplicates = 0;
-  // Cluster-wide quota rollup: additive counters sum, per-tenant tallies
-  // merge by tenant name (a tenant's sessions may span shards).
-  bool quota_enabled = false;
-  static constexpr const char* kQuotaCounters[] = {
-      "queue_depth", "queued",          "granted",        "timeouts",
-      "shed_anonymous", "shed_over_quota", "shed_queue_full",
-      "tell_pushbacks"};
-  std::uint64_t quota_totals[std::size(kQuotaCounters)] = {};
-  struct TenantTotals {
-    std::uint64_t sessions = 0;
-    std::uint64_t inflight_tells = 0;
-    std::uint64_t queued = 0;
-  };
-  std::map<std::string, TenantTotals> tenant_totals;
+  // Cluster rollup: each reachable shard's own reply is embedded and merged
+  // into one snapshot by the metrics-table walk (numbers sum, flags OR,
+  // tenant rows merge by tenant).
+  MetricsSnapshot cluster;
   Json shards = Json::array();
-  for (std::size_t index = 0; index < config_.shards.size(); ++index) {
-    const std::vector<ShardSnapshot> snapshots = this->shards();
-    const ShardSnapshot& snapshot = snapshots[index];
+  for (const ShardSnapshot& snapshot : this->shards()) {
     Json entry = Json::object();
-    entry.set("index", static_cast<std::uint64_t>(index));
+    entry.set("index", static_cast<std::uint64_t>(snapshot.index));
     entry.set("endpoint",
               snapshot.host + ":" + std::to_string(snapshot.port));
     entry.set("health", to_string(snapshot.health));
@@ -938,46 +914,7 @@ Json Router::aggregate_status() {
       const Json status = reply.value_or(Json::object());
       const Json* ok = status.find("ok");
       if (ok != nullptr && ok->is_bool() && ok->as_bool()) {
-        const auto add = [&status](std::uint64_t& total, const char* key) {
-          const Json* field = status.find(key);
-          if (field != nullptr && field->is_number()) total += field->as_uint64();
-        };
-        add(live, "live_sessions");
-        add(opened, "opened");
-        add(closed, "closed");
-        add(evicted, "evicted");
-        add(finished, "finished");
-        add(asks, "asks");
-        add(tells, "tells");
-        add(duplicates, "duplicate_tells");
-        if (const Json* quotas = status.find("quotas");
-            quotas != nullptr && quotas->is_object()) {
-          const Json* enabled = quotas->find("enabled");
-          quota_enabled = quota_enabled || (enabled != nullptr &&
-                                            enabled->is_bool() &&
-                                            enabled->as_bool());
-          for (std::size_t i = 0; i < std::size(kQuotaCounters); ++i) {
-            const Json* field = quotas->find(kQuotaCounters[i]);
-            if (field != nullptr && field->is_number())
-              quota_totals[i] += field->as_uint64();
-          }
-          if (const Json* tenants = quotas->find("tenants");
-              tenants != nullptr && tenants->is_array()) {
-            for (const Json& tenant : tenants->as_array()) {
-              const Json* name = tenant.find("tenant");
-              if (name == nullptr || !name->is_string()) continue;
-              TenantTotals& totals = tenant_totals[name->as_string()];
-              const auto addt = [&tenant](std::uint64_t& total, const char* key) {
-                const Json* field = tenant.find(key);
-                if (field != nullptr && field->is_number())
-                  total += field->as_uint64();
-              };
-              addt(totals.sessions, "sessions");
-              addt(totals.inflight_tells, "inflight_tells");
-              addt(totals.queued, "queued");
-            }
-          }
-        }
+        cluster.merge(MetricsSnapshot::decode(status));
         entry.set("status", status);
       } else {
         const Json* message = status.find("message");
@@ -989,38 +926,18 @@ Json Router::aggregate_status() {
     }
     shards.push_back(std::move(entry));
   }
+  Json response = make_ok();
+  response.set("server", config_.name);
+  response.set("version", static_cast<std::uint64_t>(kProtocolVersion));
+  response.set("role", "router");
   response.set("shards", std::move(shards));
-  response.set("live_sessions", live);
-  response.set("opened", opened);
-  response.set("closed", closed);
-  response.set("evicted", evicted);
-  response.set("finished", finished);
-  response.set("asks", asks);
-  response.set("tells", tells);
-  response.set("duplicate_tells", duplicates);
   {
-    Json quotas = Json::object();
-    quotas.set("enabled", quota_enabled);
-    for (std::size_t i = 0; i < std::size(kQuotaCounters); ++i)
-      quotas.set(kQuotaCounters[i], quota_totals[i]);
-    Json tenants = Json::array();
-    for (const auto& [name, totals] : tenant_totals) {
-      Json tenant = Json::object();
-      tenant.set("tenant", name);
-      tenant.set("sessions", totals.sessions);
-      tenant.set("inflight_tells", totals.inflight_tells);
-      tenant.set("queued", totals.queued);
-      tenants.push_back(std::move(tenant));
-    }
-    quotas.set("tenants", std::move(tenants));
-    response.set("quotas", std::move(quotas));
-  }
-  {
+    // The router reports its own client connections, not the shards'.
     repro::MutexLock lock(mutex_);
     response.set("reroutes", static_cast<std::uint64_t>(reroutes_));
-    response.set("active_connections",
-                 static_cast<std::uint64_t>(connections_.size()));
+    cluster.set(Metric::kActiveConnections, connections_.size());
   }
+  cluster.encode_into(response);
   return response;
 }
 

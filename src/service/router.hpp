@@ -68,6 +68,7 @@
 #include "common/thread_annotations.hpp"
 #include "common/thread_pool.hpp"
 #include "service/client.hpp"
+#include "service/metrics.hpp"
 #include "service/protocol.hpp"
 
 namespace repro::service {

@@ -105,12 +105,13 @@ void TuneServer::start() {
   if (!config_.limits.state_dir.empty()) {
     // Recover before the first client can connect: replayed sessions must
     // be visible (and their ids reserved) before any new open lands.
-    const RecoveryStats stats = manager_->recover();
+    const MetricsSnapshot stats = manager_->recover();
     log_info("tuned: recovery from {}: {} sessions restored ({} tells), "
              "{} failed, {} torn tails, {} closed discarded, {} tombstoned",
-             config_.limits.state_dir, stats.sessions_recovered,
-             stats.tells_replayed, stats.sessions_failed, stats.torn_tails,
-             stats.closed_discarded, stats.evicted_tombstones);
+             config_.limits.state_dir, stats[Metric::kSessionsRecovered],
+             stats[Metric::kTellsReplayed], stats[Metric::kSessionsFailed],
+             stats[Metric::kTornTails], stats[Metric::kClosedDiscarded],
+             stats[Metric::kEvictedTombstones]);
   }
   // Eager first ship connect (+ resync of recovered sessions) so `status`
   // reports replication health from the first probe. Failure just leaves
@@ -138,7 +139,7 @@ bool TuneServer::promote() {
     repro::MutexLock lock(mutex_);
     if (!standby_) return false;  // already primary: idempotent no-op
     standby_ = false;
-    ++promotions_;
+    metrics_.add(Metric::kPromotions);
   }
   log_info("tuned: promoted to primary ({} live sessions, hot)", manager_->live());
   return true;
@@ -149,7 +150,7 @@ void TuneServer::demote() {
     repro::MutexLock lock(mutex_);
     if (standby_) return;  // already a standby: idempotent no-op
     standby_ = true;
-    ++demotions_;
+    metrics_.add(Metric::kDemotions);
   }
   // Outside the lock: demote_reset cancels sessions (joins search threads)
   // and truncates the store — none of it needs the server mutex.
@@ -157,11 +158,6 @@ void TuneServer::demote() {
   log_info("tuned: demoted to standby ({} divergent session(s) dropped); "
            "awaiting re-seed from the new primary",
            dropped);
-}
-
-std::size_t TuneServer::demotions() const {
-  repro::MutexLock lock(mutex_);
-  return demotions_;
 }
 
 bool TuneServer::running() const noexcept {
@@ -224,19 +220,14 @@ std::size_t TuneServer::active_connections() const {
   return connections_.size();
 }
 
-std::size_t TuneServer::connections_accepted() const {
-  repro::MutexLock lock(mutex_);
-  return connections_accepted_;
-}
-
-std::size_t TuneServer::connections_reaped() const {
-  repro::MutexLock lock(mutex_);
-  return connections_reaped_;
-}
-
-std::size_t TuneServer::connections_refused() const {
-  repro::MutexLock lock(mutex_);
-  return connections_refused_;
+MetricsSnapshot TuneServer::metrics() const {
+  MetricsSnapshot snapshot = manager_->metrics();
+  metrics_.add_to(snapshot);
+  snapshot.set(Metric::kActiveConnections, active_connections());
+  const std::uint64_t live = snapshot[Metric::kLiveSessions];
+  snapshot.set(Metric::kSessionsOmitted,
+               live > kStatusSessionRows ? live - kStatusSessionRows : 0);
+  return snapshot;
 }
 
 void TuneServer::accept_loop() {
@@ -276,12 +267,12 @@ void TuneServer::accept_loop() {
       if (stopping_) continue;  // socket closes as `shared` dies
       if (config_.max_connections > 0 &&
           connections_.size() >= config_.max_connections) {
-        ++connections_refused_;
+        metrics_.add(Metric::kConnectionsRefused);
         refused = true;
       } else {
         id = next_connection_id_++;
         connections_[id] = shared;
-        ++connections_accepted_;
+        metrics_.add(Metric::kConnectionsAccepted);
       }
     }
     if (refused) {
@@ -338,8 +329,7 @@ void TuneServer::handle_connection(std::uint64_t id) {
               config_.connection_idle_timeout) {
         log_info("tuned: reaping connection {} (no frame in {}ms)", id,
                  config_.connection_idle_timeout.count());
-        repro::MutexLock lock(mutex_);
-        ++connections_reaped_;
+        metrics_.add(Metric::kConnectionsReaped);
         return;
       }
       continue;
@@ -637,129 +627,20 @@ Json TuneServer::dispatch(const Json& request, ConnState* conn, bool* fatal) {
       return make_ok();
     }
     if (op == "status") {
-      const StatusReport report = manager_->status();
+      const MetricsSnapshot snapshot = metrics();
       Json response = make_ok();
       response.set("server", config_.name);
       response.set("version", static_cast<std::uint64_t>(kProtocolVersion));
-      response.set("live_sessions", static_cast<std::uint64_t>(report.live_sessions));
-      response.set("opened", static_cast<std::uint64_t>(report.opened));
-      response.set("closed", static_cast<std::uint64_t>(report.closed));
-      response.set("evicted", static_cast<std::uint64_t>(report.evicted));
-      response.set("finished", static_cast<std::uint64_t>(report.finished));
-      response.set("asks", static_cast<std::uint64_t>(report.asks));
-      response.set("tells", static_cast<std::uint64_t>(report.tells));
-      response.set("duplicate_tells",
-                   static_cast<std::uint64_t>(report.duplicate_tells));
-      response.set("tallies", encode_counters(report.tallies));
-      response.set("wal_enabled", report.wal_enabled);
-      if (report.wal_enabled) {
-        response.set("wal_errors", static_cast<std::uint64_t>(report.wal_errors));
-        Json recovery = Json::object();
-        recovery.set("sessions_recovered",
-                     static_cast<std::uint64_t>(report.recovery.sessions_recovered));
-        recovery.set("tells_replayed",
-                     static_cast<std::uint64_t>(report.recovery.tells_replayed));
-        recovery.set("sessions_failed",
-                     static_cast<std::uint64_t>(report.recovery.sessions_failed));
-        recovery.set("torn_tails",
-                     static_cast<std::uint64_t>(report.recovery.torn_tails));
-        recovery.set("closed_discarded",
-                     static_cast<std::uint64_t>(report.recovery.closed_discarded));
-        recovery.set("evicted_tombstones",
-                     static_cast<std::uint64_t>(report.recovery.evicted_tombstones));
-        response.set("recovery", std::move(recovery));
-      }
-      response.set("store_enabled", report.store_enabled);
-      if (report.store_enabled && store_ != nullptr) {
-        const store::StoreStats stats = store_->stats();
-        Json store_summary = Json::object();
-        store_summary.set("records", static_cast<std::uint64_t>(stats.records));
-        store_summary.set("tenants", static_cast<std::uint64_t>(stats.tenants));
-        store_summary.set("append_errors",
-                          static_cast<std::uint64_t>(report.store_errors));
-        store_summary.set("io_errors", stats.io_errors);
-        response.set("store", std::move(store_summary));
-      }
-      response.set("ship_enabled", report.ship_enabled);
-      response.set("ship_state", to_string(report.ship_state));
-      if (report.ship_enabled) {
-        response.set("ship_connected", report.ship_connected);
-        response.set("ship_fenced", report.ship_fenced);
-        if (!report.ship_target.empty())
-          response.set("ship_target", report.ship_target);
-        Json ship = Json::object();
-        ship.set("records_shipped",
-                 static_cast<std::uint64_t>(report.ship.records_shipped));
-        ship.set("duplicates_acked",
-                 static_cast<std::uint64_t>(report.ship.duplicates_acked));
-        ship.set("resyncs", static_cast<std::uint64_t>(report.ship.resyncs));
-        ship.set("reconnects", static_cast<std::uint64_t>(report.ship.reconnects));
-        ship.set("failures", static_cast<std::uint64_t>(report.ship.failures));
-        ship.set("retargets", static_cast<std::uint64_t>(report.ship.retargets));
-        ship.set("store_rows_resynced",
-                 static_cast<std::uint64_t>(report.ship.store_rows_resynced));
-        response.set("ship", std::move(ship));
-      }
-      {
-        // Quota block: aggregate shed/pushback counters plus one row per
-        // named tenant, so the router can merge fairness state cluster-wide.
-        Json quotas = Json::object();
-        quotas.set("enabled", report.quotas.enabled);
-        quotas.set("queue_depth",
-                   static_cast<std::uint64_t>(report.quotas.queue_depth));
-        quotas.set("queued", static_cast<std::uint64_t>(report.quotas.queued));
-        quotas.set("granted", static_cast<std::uint64_t>(report.quotas.granted));
-        quotas.set("timeouts",
-                   static_cast<std::uint64_t>(report.quotas.timeouts));
-        quotas.set("shed_anonymous",
-                   static_cast<std::uint64_t>(report.quotas.shed_anonymous));
-        quotas.set("shed_over_quota",
-                   static_cast<std::uint64_t>(report.quotas.shed_over_quota));
-        quotas.set("shed_queue_full",
-                   static_cast<std::uint64_t>(report.quotas.shed_queue_full));
-        quotas.set("tell_pushbacks",
-                   static_cast<std::uint64_t>(report.quotas.tell_pushbacks));
-        Json tenants = Json::array();
-        for (const StatusReport::TenantStatus& row : report.quotas.tenants) {
-          Json entry = Json::object();
-          entry.set("tenant", row.tenant);
-          entry.set("sessions", static_cast<std::uint64_t>(row.sessions));
-          entry.set("inflight_tells",
-                    static_cast<std::uint64_t>(row.inflight_tells));
-          entry.set("queued", static_cast<std::uint64_t>(row.queued));
-          tenants.push_back(std::move(entry));
-        }
-        quotas.set("tenants", std::move(tenants));
-        response.set("quotas", std::move(quotas));
-      }
       {
         repro::MutexLock lock(mutex_);
         response.set("role", standby_ ? "standby" : "primary");
-        response.set("promotions", static_cast<std::uint64_t>(promotions_));
-        response.set("demotions", static_cast<std::uint64_t>(demotions_));
         response.set("draining", draining_ || stopping_);
-        response.set("active_connections",
-                     static_cast<std::uint64_t>(connections_.size()));
-        response.set("connections_accepted",
-                     static_cast<std::uint64_t>(connections_accepted_));
-        response.set("connections_reaped",
-                     static_cast<std::uint64_t>(connections_reaped_));
-        response.set("connections_refused",
-                     static_cast<std::uint64_t>(connections_refused_));
       }
-      Json sessions = Json::array();
-      for (const SessionInfo& info : manager_->sessions()) {
-        Json entry = Json::object();
-        entry.set("id", info.id);
-        entry.set("algorithm", info.algorithm);
-        entry.set("budget", static_cast<std::uint64_t>(info.budget));
-        entry.set("asks", static_cast<std::uint64_t>(info.asks));
-        entry.set("tells", static_cast<std::uint64_t>(info.tells));
-        entry.set("finished", info.finished);
-        entry.set("idle_ms", static_cast<std::uint64_t>(info.idle.count()));
-        sessions.push_back(std::move(entry));
-      }
-      response.set("sessions", std::move(sessions));
+      response.set("ship_state", to_string(manager_->ship_state()));
+      if (const std::string target = manager_->ship_target(); !target.empty())
+        response.set("ship_target", target);
+      snapshot.encode_into(response);
+      response.set("sessions", manager_->session_rows(kStatusSessionRows));
       return response;
     }
     return make_error(ErrorCode::kUnknownOp, "unknown op: " + op);

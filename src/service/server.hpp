@@ -112,8 +112,6 @@ class TuneServer {
   /// state via SessionManager::demote_reset(). Idempotent. Driven by
   /// auto_rejoin when the shipper fences; also callable directly.
   void demote();
-  /// Times demote() flipped the role (the rejoin counter).
-  [[nodiscard]] std::size_t demotions() const;
 
   [[nodiscard]] SessionManager& sessions() noexcept { return *manager_; }
   [[nodiscard]] const SessionManager& sessions() const noexcept { return *manager_; }
@@ -122,11 +120,12 @@ class TuneServer {
     return store_;
   }
   [[nodiscard]] std::size_t active_connections() const;
-  [[nodiscard]] std::size_t connections_accepted() const;
-  /// Connections reaped by connection_idle_timeout.
-  [[nodiscard]] std::size_t connections_reaped() const;
-  /// Accepts refused by max_connections (answered retry_later).
-  [[nodiscard]] std::size_t connections_refused() const;
+  /// The daemon's status metrics: the session manager's plus this server's.
+  [[nodiscard]] MetricsSnapshot metrics() const;
+  /// `status` lists at most this many live sessions, oldest first, and
+  /// counts the rest in sessions_omitted: the reply is also the router's
+  /// health probe and must stay far below kMaxFrameBytes.
+  static constexpr std::size_t kStatusSessionRows = 64;
 
  private:
   /// Per-connection protocol state. The tenant identity arrives once, in
@@ -159,15 +158,11 @@ class TuneServer {
   std::unordered_map<std::uint64_t, std::shared_ptr<Socket>> connections_
       GUARDED_BY(mutex_);
   std::uint64_t next_connection_id_ GUARDED_BY(mutex_) = 1;
-  std::size_t connections_accepted_ GUARDED_BY(mutex_) = 0;
-  std::size_t connections_reaped_ GUARDED_BY(mutex_) = 0;
-  std::size_t connections_refused_ GUARDED_BY(mutex_) = 0;
+  MetricSet metrics_;
   bool started_ GUARDED_BY(mutex_) = false;
   bool stopping_ GUARDED_BY(mutex_) = false;
   bool draining_ GUARDED_BY(mutex_) = false;
   bool standby_ GUARDED_BY(mutex_) = false;
-  std::size_t promotions_ GUARDED_BY(mutex_) = 0;
-  std::size_t demotions_ GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace repro::service

@@ -50,16 +50,14 @@ void SessionManager::store_append(const ManagedSession& managed,
   } catch (const store::StoreError& error) {
     log_warn("results store: dropping record for {}/{}: {}",
              managed.store_key.benchmark, managed.store_key.arch, error.what());
-    repro::MutexLock lock(mutex_);
-    ++store_errors_;
+    metrics_.add(Metric::kStoreAppendErrors);
   }
 }
 
 SessionManager::~SessionManager() { cancel_all(); }
 
-RecoveryStats SessionManager::recover() {
-  RecoveryStats stats;
-  if (limits_.state_dir.empty()) return stats;
+MetricsSnapshot SessionManager::recover() {
+  if (limits_.state_dir.empty()) return metrics();
   // Sorted scan: recovery order (and thus replay thread scheduling) is
   // deterministic across restarts.
   const std::vector<std::string> paths = list_session_wals(limits_.state_dir);
@@ -71,20 +69,20 @@ RecoveryStats SessionManager::recover() {
       journal = load_session_wal(path);
     } catch (const std::exception& error) {
       log_warn("recovery: dropping unrecoverable journal {}: {}", path, error.what());
-      ++stats.sessions_failed;
+      metrics_.add(Metric::kSessionsFailed);
       continue;
     }
-    if (journal.torn_tail) ++stats.torn_tails;
+    if (journal.torn_tail) metrics_.add(Metric::kTornTails);
     if (journal.closed) {
       // Crash landed between the close record and the unlink; finish the job.
       (void)::unlink(path.c_str());
-      ++stats.closed_discarded;
+      metrics_.add(Metric::kClosedDiscarded);
       continue;
     }
     if (journal.evicted) {
       repro::MutexLock lock(mutex_);
       add_tombstone(journal.id);
-      ++stats.evicted_tombstones;
+      metrics_.add(Metric::kEvictedTombstones);
       continue;
     }
     try {
@@ -115,21 +113,22 @@ RecoveryStats SessionManager::recover() {
         // the store already has the record, and it heals a store whose own
         // log lost a tail the session WAL retained.
         store_append(*managed, tell.config, tell.evaluation);
-        ++stats.tells_replayed;
+        metrics_.add(Metric::kTellsReplayed);
       }
       managed->applied_seq =
           journal.tells.empty() ? 0 : journal.tells.back().seq;
       managed->orphan_proposal = true;
       managed->wal = SessionWal::reattach(path, journal.valid_bytes);
 
+      if (managed->wal == nullptr) metrics_.add(Metric::kWalErrors);
+      metrics_.add(Metric::kAsks, journal.tells.size());
+      metrics_.add(Metric::kTells, journal.tells.size());
+      for (const WalTell& tell : journal.tells)
+        metrics_.add(tally_metric(tell.evaluation.status));
       repro::MutexLock lock(mutex_);
-      if (managed->wal == nullptr) ++wal_errors_;
       if (!managed->tenant.empty()) ++tenant_live_[managed->tenant];
       sessions_.emplace_back(journal.id, managed);
-      ++opened_;
-      asks_total_ += journal.tells.size();
-      tells_total_ += journal.tells.size();
-      for (const WalTell& tell : journal.tells) tallies_.count(tell.evaluation.status);
+      metrics_.add(Metric::kOpened);
       // Keep fresh ids clear of every recovered id ("s<N>").
       if (journal.id.size() > 1 && journal.id[0] == 's') {
         try {
@@ -139,17 +138,15 @@ RecoveryStats SessionManager::recover() {
           // Foreign id scheme; fresh ids cannot collide with it.
         }
       }
-      ++stats.sessions_recovered;
+      metrics_.add(Metric::kSessionsRecovered);
       log_info("recovery: session {} restored ({} tells replayed)", journal.id,
                journal.tells.size());
     } catch (const std::exception& error) {
       log_warn("recovery: cannot replay journal {}: {}", path, error.what());
-      ++stats.sessions_failed;
+      metrics_.add(Metric::kSessionsFailed);
     }
   }
-  repro::MutexLock lock(mutex_);
-  recovery_ = stats;
-  return stats;
+  return metrics();
 }
 
 std::string SessionManager::open(const OpenParams& params, const std::string& token) {
@@ -240,7 +237,7 @@ std::string SessionManager::open(const OpenParams& params, const std::string& to
     id.push_back('s');
     id += std::to_string(next_id_++);
     sessions_.emplace_back(id, managed);
-    ++opened_;
+    metrics_.add(Metric::kOpened);
   }
   // Journal the open before the caller can observe the id: once the client
   // sees this session exist, a crash must not forget it. `effective`
@@ -248,10 +245,7 @@ std::string SessionManager::open(const OpenParams& params, const std::string& to
   if (!limits_.state_dir.empty()) {
     managed->wal =
         SessionWal::create(wal_path(limits_.state_dir, id), id, token, effective);
-    if (managed->wal == nullptr) {
-      repro::MutexLock lock(mutex_);
-      ++wal_errors_;
-    }
+    if (managed->wal == nullptr) metrics_.add(Metric::kWalErrors);
   }
   // Replicate the open to the hot standby before the id is observable, for
   // the same reason the journal is written first. A ship failure degrades
@@ -312,8 +306,8 @@ std::optional<tuner::Configuration> SessionManager::ask(
     // Blocks; manager mutex NOT held.
     auto config = deadline ? managed->session.ask_until(*deadline)
                            : managed->session.ask();
+    metrics_.add(Metric::kAsks);
     repro::MutexLock lock(mutex_);
-    ++asks_total_;
     managed->orphan_proposal = false;
     return config;
   } catch (const tuner::AskPendingError& error) {
@@ -351,7 +345,7 @@ SessionManager::TellAck SessionManager::tell(const std::string& id,
     if (seq <= managed->applied_seq) {
       // Retried frame whose first delivery was applied but whose ack was
       // lost. Acknowledge without re-applying.
-      ++duplicate_tells_;
+      metrics_.add(Metric::kDuplicateTells);
       const std::size_t told = managed->session.tells();
       const std::size_t budget = managed->session.budget();
       return TellAck{told >= budget ? 0 : budget - told, true};
@@ -402,16 +396,15 @@ SessionManager::TellAck SessionManager::tell(const std::string& id,
     repro::MutexLock lock(mutex_);
     applied = managed->applied_seq = seq != 0 ? seq : managed->applied_seq + 1;
     managed->orphan_proposal = false;
-    ++tells_total_;
-    tallies_.count(evaluation.status);
   }
+  metrics_.add(Metric::kTells);
+  metrics_.add(tally_metric(evaluation.status));
   // Durability barrier: the ack frame must not leave before the journal
   // record is on disk, or a crash loses an acknowledged measurement.
   if (managed->wal != nullptr &&
       !managed->wal->append_tell(applied, config.value_or(tuner::Configuration{}),
                                  evaluation)) {
-    repro::MutexLock lock(mutex_);
-    ++wal_errors_;
+    metrics_.add(Metric::kWalErrors);
   }
   // Results-store barrier: the tenant's history record is fsync'd before
   // the ack leaves too, so an acknowledged tell can warm-start future
@@ -461,17 +454,14 @@ void SessionManager::close(const std::string& id) {
     if (it == sessions_.end()) throw_missing(id);
     managed = std::move(it->second);
     sessions_.erase(it);
-    ++closed_;
+    metrics_.add(Metric::kClosed);
     note_removed_locked(*managed);
   }
   // Terminal record then unlink: if the crash lands between the two,
   // recovery sees the close record and finishes the unlink.
   if (managed->wal != nullptr) {
     const std::string path = managed->wal->path();
-    if (!managed->wal->append_close()) {
-      repro::MutexLock lock(mutex_);
-      ++wal_errors_;
-    }
+    if (!managed->wal->append_close()) metrics_.add(Metric::kWalErrors);
     managed->wal.reset();
     (void)::unlink(path.c_str());
   }
@@ -501,7 +491,7 @@ std::size_t SessionManager::evict_idle() {
         ++it;
       }
     }
-    evicted_ += victims.size();
+    metrics_.add(Metric::kEvicted, victims.size());
     // One drain after the sweep: freed slots go to queued opens only once
     // sessions_ reflects every removal.
     if (!victims.empty()) drain_admission_locked();
@@ -510,10 +500,8 @@ std::size_t SessionManager::evict_idle() {
     // Persist the eviction: the journal stays behind as a tombstone so a
     // restarted daemon reports kSessionEvicted instead of resurrecting a
     // session the policy already reaped.
-    if (managed->wal != nullptr && !managed->wal->append_evicted()) {
-      repro::MutexLock lock(mutex_);
-      ++wal_errors_;
-    }
+    if (managed->wal != nullptr && !managed->wal->append_evicted())
+      metrics_.add(Metric::kWalErrors);
     if (shipper_ != nullptr) (void)shipper_->ship_evict(id);
     managed->session.cancel();
     log_info("session {} evicted after {}ms idle", id,
@@ -575,7 +563,7 @@ std::shared_ptr<SessionManager::ManagedSession> SessionManager::register_session
     }
     if (!managed->tenant.empty()) ++tenant_live_[managed->tenant];
     sessions_.emplace_back(id, managed);
-    ++opened_;
+    metrics_.add(Metric::kOpened);
     // Keep locally-minted ids clear of the adopted one ("s<N>" scheme).
     if (id.size() > 1 && id[0] == 's') {
       try {
@@ -603,10 +591,7 @@ void SessionManager::open_replica(const std::string& id, const OpenParams& param
   if (!limits_.state_dir.empty()) {
     managed->wal =
         SessionWal::create(wal_path(limits_.state_dir, id), id, token, params);
-    if (managed->wal == nullptr) {
-      repro::MutexLock lock(mutex_);
-      ++wal_errors_;
-    }
+    if (managed->wal == nullptr) metrics_.add(Metric::kWalErrors);
   }
   log_debug("replica session {} opened: {} budget={} seed={}", id,
             params.algorithm, params.budget, params.seed);
@@ -621,7 +606,7 @@ SessionManager::TellAck SessionManager::apply_replica_tell(
     if (seq != 0 && seq <= managed->applied_seq) {
       // Resync re-ships whole journals; records at or below the watermark
       // were applied by an earlier delivery.
-      ++duplicate_tells_;
+      metrics_.add(Metric::kDuplicateTells);
       const std::size_t told = managed->session.tells();
       const std::size_t budget = managed->session.budget();
       return TellAck{told >= budget ? 0 : budget - told, true};
@@ -659,15 +644,13 @@ SessionManager::TellAck SessionManager::apply_replica_tell(
   {
     repro::MutexLock lock(mutex_);
     applied = managed->applied_seq = seq != 0 ? seq : managed->applied_seq + 1;
-    ++tells_total_;
-    tallies_.count(evaluation.status);
   }
+  metrics_.add(Metric::kTells);
+  metrics_.add(tally_metric(evaluation.status));
   // Same durability barrier as the primary: the ship ack must not leave
   // before this record is on the follower's disk.
-  if (managed->wal != nullptr && !managed->wal->append_tell(applied, config, evaluation)) {
-    repro::MutexLock lock(mutex_);
-    ++wal_errors_;
-  }
+  if (managed->wal != nullptr && !managed->wal->append_tell(applied, config, evaluation))
+    metrics_.add(Metric::kWalErrors);
   // The standby's own results store gets the record too: a promoted shard
   // must warm-start future tenants exactly like the primary it replaces.
   store_append(*managed, config, evaluation);
@@ -695,13 +678,11 @@ void SessionManager::evict_replica(const std::string& id) {
     if (it == sessions_.end()) return;  // duplicate delivery
     managed = std::move(it->second);
     sessions_.erase(it);
-    ++evicted_;
+    metrics_.add(Metric::kEvicted);
     note_removed_locked(*managed);
   }
-  if (managed->wal != nullptr && !managed->wal->append_evicted()) {
-    repro::MutexLock lock(mutex_);
-    ++wal_errors_;
-  }
+  if (managed->wal != nullptr && !managed->wal->append_evicted())
+    metrics_.add(Metric::kWalErrors);
   managed->session.cancel();
   log_debug("replica session {} evicted (shipped record)", id);
 }
@@ -736,7 +717,7 @@ void SessionManager::admit(const std::string& tenant) {
         (live_it != tenant_live_.end() ? live_it->second : 0) +
         (reserved_it != reserved_by_tenant_.end() ? reserved_it->second : 0);
     if (held >= quotas.max_sessions_per_tenant) {
-      ++shed_over_quota_;
+      metrics_.add(Metric::kShedOverQuota);
       throw ProtocolError(ErrorCode::kRetryLater,
                           "tenant " + tenant + " session quota reached (" +
                               std::to_string(quotas.max_sessions_per_tenant) +
@@ -756,14 +737,14 @@ void SessionManager::admit(const std::string& tenant) {
   const bool can_queue = !tenant.empty() && quotas.admission_queue_cap != 0 &&
                          quotas.admission_wait.count() > 0;
   if (!can_queue) {
-    if (tenant.empty() && quotas.enabled()) ++shed_anonymous_;
+    if (tenant.empty() && quotas.enabled()) metrics_.add(Metric::kShedAnonymous);
     throw ProtocolError(ErrorCode::kRetryLater,
                         "session limit reached (" +
                             std::to_string(limits_.max_sessions) + ")",
                         retry_hint_locked());
   }
   if (admission_depth_ >= quotas.admission_queue_cap) {
-    ++shed_queue_full_;
+    metrics_.add(Metric::kShedQueueFull);
     throw ProtocolError(ErrorCode::kRetryLater,
                         "admission queue full (" +
                             std::to_string(quotas.admission_queue_cap) + ")",
@@ -773,7 +754,7 @@ void SessionManager::admit(const std::string& tenant) {
   waiter->tenant = tenant;
   admission_queues_[tenant].push_back(waiter);
   ++admission_depth_;
-  ++admission_queued_total_;
+  metrics_.add(Metric::kQueued);
   // Park until the drain hands this waiter a freed slot (or the wait
   // budget runs out). The condvar releases mutex_ while parked.
   (void)admission_cv_.wait_for(lock.native(), quotas.admission_wait, [&] {
@@ -793,7 +774,7 @@ void SessionManager::admit(const std::string& tenant) {
     if (queue.empty()) admission_queues_.erase(it);
   }
   --admission_depth_;
-  ++admission_timeouts_;
+  metrics_.add(Metric::kTimeouts);
   throw ProtocolError(ErrorCode::kRetryLater,
                       "admission queue wait exceeded (" +
                           std::to_string(quotas.admission_wait.count()) + "ms)",
@@ -850,7 +831,7 @@ void SessionManager::drain_admission_locked() {
     waiter->granted = true;
     ++reserved_;
     if (!waiter->tenant.empty()) ++reserved_by_tenant_[waiter->tenant];
-    ++admission_granted_;
+    metrics_.add(Metric::kGranted);
     granted_any = true;
   }
   if (granted_any) admission_cv_.notify_all();
@@ -873,7 +854,7 @@ bool SessionManager::begin_inflight_tell(const std::string& tenant) {
   repro::MutexLock lock(mutex_);
   std::size_t& inflight = tenant_inflight_[tenant];
   if (inflight >= limits_.quotas.max_inflight_tells_per_tenant) {
-    ++tell_pushbacks_;
+    metrics_.add(Metric::kTellPushbacks);
     throw ProtocolError(ErrorCode::kRetryLater,
                         "tenant " + tenant + " tell quota reached (" +
                             std::to_string(
@@ -919,7 +900,7 @@ std::size_t SessionManager::demote_reset() {
   {
     repro::MutexLock lock(mutex_);
     victims.swap(sessions_);
-    closed_ += victims.size();
+    metrics_.add(Metric::kClosed, victims.size());
     tenant_live_.clear();
     tombstones_.clear();
     flush_admission_locked();
@@ -960,7 +941,7 @@ void SessionManager::cancel_all() {
   {
     repro::MutexLock lock(mutex_);
     victims.swap(sessions_);
-    closed_ += victims.size();
+    metrics_.add(Metric::kClosed, victims.size());
     tenant_live_.clear();
     // Queued opens wake into retry_later: the daemon is going away, there
     // is no slot coming.
@@ -978,84 +959,62 @@ std::size_t SessionManager::live() const {
   return sessions_.size();
 }
 
-StatusReport SessionManager::status() const {
-  StatusReport report;
+MetricsSnapshot SessionManager::metrics() const {
+  MetricsSnapshot snapshot;
+  // Sampled outside mutex_: the shipper and the store have their own locks.
+  if (shipper_ != nullptr) shipper_->sample(snapshot);
+  if (store_ != nullptr) {
+    const store::StoreStats stats = store_->stats();
+    snapshot.set(Metric::kStoreRecords, stats.records);
+    snapshot.set(Metric::kStoreTenants, stats.tenants);
+    snapshot.set(Metric::kStoreIoErrors, stats.io_errors);
+  }
+  snapshot.set(Metric::kWalEnabled, !limits_.state_dir.empty());
+  snapshot.set(Metric::kStoreEnabled, store_ != nullptr);
+  snapshot.set(Metric::kQuotasEnabled, limits_.quotas.enabled());
   repro::MutexLock lock(mutex_);
-  report.live_sessions = sessions_.size();
-  report.opened = opened_;
-  report.closed = closed_;
-  report.evicted = evicted_;
-  report.asks = asks_total_;
-  report.tells = tells_total_;
-  report.duplicate_tells = duplicate_tells_;
-  report.wal_errors = wal_errors_;
-  report.store_errors = store_errors_;
-  report.wal_enabled = !limits_.state_dir.empty();
-  report.store_enabled = store_ != nullptr;
-  report.recovery = recovery_;
-  report.tallies = tallies_;
-  if (shipper_ != nullptr) {
-    report.ship_enabled = shipper_->enabled();
-    report.ship_connected = shipper_->connected();
-    report.ship_fenced = shipper_->fenced();
-    report.ship_state = shipper_->state();
-    const std::pair<std::string, std::uint16_t> target = shipper_->target();
-    if (target.second != 0)
-      report.ship_target = target.first + ":" + std::to_string(target.second);
-    report.ship = shipper_->counters();
-  }
-  report.quotas.enabled = limits_.quotas.enabled();
-  report.quotas.queue_depth = admission_depth_;
-  report.quotas.queued = admission_queued_total_;
-  report.quotas.granted = admission_granted_;
-  report.quotas.timeouts = admission_timeouts_;
-  report.quotas.shed_anonymous = shed_anonymous_;
-  report.quotas.shed_over_quota = shed_over_quota_;
-  report.quotas.shed_queue_full = shed_queue_full_;
-  report.quotas.tell_pushbacks = tell_pushbacks_;
-  {
-    // Merge live / in-flight / queued views into one sorted row per tenant.
-    std::map<std::string, StatusReport::TenantStatus> tenants;
-    for (const auto& [tenant, count] : tenant_live_) {  // NOLINT(reprolint-unordered-iteration)
-      tenants[tenant].sessions = count;
-    }
-    for (const auto& [tenant, count] : tenant_inflight_) {  // NOLINT(reprolint-unordered-iteration)
-      tenants[tenant].inflight_tells = count;
-    }
-    for (const auto& [tenant, queue] : admission_queues_) {
-      tenants[tenant].queued = queue.size();
-    }
-    report.quotas.tenants.reserve(tenants.size());
-    for (auto& [tenant, row] : tenants) {
-      row.tenant = tenant;
-      report.quotas.tenants.push_back(std::move(row));
-    }
-  }
+  metrics_.add_to(snapshot);
+  snapshot.set(Metric::kLiveSessions, sessions_.size());
+  snapshot.set(Metric::kQueueDepth, admission_depth_);
+  std::uint64_t finished = 0;
   for (const auto& [id, managed] : sessions_) {
-    if (managed->session.finished()) ++report.finished;
+    if (managed->session.finished()) ++finished;
   }
-  return report;
+  snapshot.set(Metric::kFinished, finished);
+  // One row per tenant with live, in-flight or queued state.
+  for (const auto& [tenant, count] : tenant_live_) {  // NOLINT(reprolint-unordered-iteration)
+    snapshot.tenants[tenant][kTenantSessions] = count;
+  }
+  for (const auto& [tenant, count] : tenant_inflight_) {  // NOLINT(reprolint-unordered-iteration)
+    snapshot.tenants[tenant][kTenantInflightTells] = count;
+  }
+  for (const auto& [tenant, queue] : admission_queues_) {
+    snapshot.tenants[tenant][kTenantQueued] = queue.size();
+  }
+  return snapshot;
 }
 
-std::vector<SessionInfo> SessionManager::sessions() const {
+Json SessionManager::session_rows(std::size_t max_rows) const {
   // Status-endpoint idle ages; never feed tuning results.
   const auto now = std::chrono::steady_clock::now();  // NOLINT(reprolint-wall-clock)
-  std::vector<SessionInfo> infos;
+  Json rows = Json::array();
   repro::MutexLock lock(mutex_);
-  infos.reserve(sessions_.size());
-  for (const auto& [id, managed] : sessions_) {
-    SessionInfo info;
-    info.id = id;
-    info.algorithm = managed->session.algorithm_name();
-    info.budget = managed->session.budget();
-    info.asks = managed->session.asks();
-    info.tells = managed->session.tells();
-    info.finished = managed->session.finished();
-    info.idle = std::chrono::duration_cast<std::chrono::milliseconds>(
-        now - managed->last_activity);
-    infos.push_back(std::move(info));
+  for (std::size_t i = 0; i < sessions_.size() && i < max_rows; ++i) {
+    const auto& [id, managed] = sessions_[i];
+    Json row = Json::object();
+    row.set("id", id);
+    row.set("algorithm", managed->session.algorithm_name());
+    row.set("budget", static_cast<std::uint64_t>(managed->session.budget()));
+    row.set("asks", static_cast<std::uint64_t>(managed->session.asks()));
+    row.set("tells", static_cast<std::uint64_t>(managed->session.tells()));
+    row.set("finished", managed->session.finished());
+    row.set("idle_ms", static_cast<std::uint64_t>(
+                           std::chrono::duration_cast<std::chrono::milliseconds>(
+                               now - managed->last_activity)
+                               .count()));
+    rows.push_back(std::move(row));
   }
-  return infos;
+  return rows;
 }
 
 }  // namespace repro::service

@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "common/thread_annotations.hpp"
+#include "service/metrics.hpp"
 #include "service/protocol.hpp"
 #include "service/session_wal.hpp"
 #include "service/wal_ship.hpp"
@@ -98,75 +99,6 @@ struct SessionLimits {
   TenantQuotas quotas;
 };
 
-/// What recover() found in the state dir at startup.
-struct RecoveryStats {
-  std::size_t sessions_recovered = 0;  ///< live journals replayed successfully
-  std::size_t tells_replayed = 0;
-  std::size_t sessions_failed = 0;  ///< unreadable/diverged journals (lost)
-  std::size_t torn_tails = 0;       ///< journals whose final record was dropped
-  std::size_t closed_discarded = 0;  ///< clean close record, journal deleted
-  std::size_t evicted_tombstones = 0;  ///< eviction record, id tombstoned
-};
-
-/// Aggregate counters for the `status` endpoint. Tallies classify every
-/// tell() by its EvalStatus — the service-level view of the PR-1 failure
-/// accounting (per-session Evaluator counters additionally ride on each
-/// `result` response).
-struct StatusReport {
-  std::size_t live_sessions = 0;
-  std::size_t opened = 0;
-  std::size_t closed = 0;
-  std::size_t evicted = 0;
-  std::size_t finished = 0;  ///< live sessions whose search already terminated
-  std::size_t asks = 0;
-  std::size_t tells = 0;
-  std::size_t duplicate_tells = 0;  ///< idempotent seq replays acknowledged
-  std::size_t wal_errors = 0;       ///< journal appends that failed (IO)
-  std::size_t store_errors = 0;     ///< results-store appends that failed
-  bool wal_enabled = false;
-  bool store_enabled = false;       ///< a results store is attached
-  RecoveryStats recovery;  ///< from the last recover() call
-  tuner::FailureCounters tallies;
-  /// Replication state (meaningful only when ship_enabled).
-  bool ship_enabled = false;
-  bool ship_connected = false;  ///< false while enabled = shard is degraded
-  bool ship_fenced = false;     ///< follower was promoted; this shard is stale
-  ShipState ship_state = ShipState::kDisabled;
-  std::string ship_target;  ///< "host:port" currently shipped to ("" = none)
-  ShipCounters ship;
-  /// Per-tenant quota / admission state.
-  struct TenantStatus {
-    std::string tenant;
-    std::size_t sessions = 0;        ///< live sessions held
-    std::size_t inflight_tells = 0;  ///< tells currently executing
-    std::size_t queued = 0;          ///< opens waiting in the admission queue
-  };
-  struct QuotaReport {
-    bool enabled = false;          ///< any TenantQuotas knob configured
-    std::size_t queue_depth = 0;   ///< opens currently waiting
-    std::size_t queued = 0;        ///< cumulative opens that ever waited
-    std::size_t granted = 0;       ///< queued opens later admitted
-    std::size_t timeouts = 0;      ///< queued opens that gave up waiting
-    std::size_t shed_anonymous = 0;   ///< anonymous opens refused at the cap
-    std::size_t shed_over_quota = 0;  ///< opens refused by a tenant quota
-    std::size_t shed_queue_full = 0;  ///< opens refused by the queue bound
-    std::size_t tell_pushbacks = 0;   ///< tells refused by the in-flight quota
-    std::vector<TenantStatus> tenants;  ///< sorted by tenant name
-  };
-  QuotaReport quotas;
-};
-
-/// One live session snapshot (status endpoint detail rows).
-struct SessionInfo {
-  std::string id;
-  std::string algorithm;
-  std::size_t budget = 0;
-  std::size_t asks = 0;
-  std::size_t tells = 0;
-  bool finished = false;
-  std::chrono::milliseconds idle{0};
-};
-
 class SessionManager {
  public:
   /// `store` (optional) is the daemon-wide results store: every
@@ -182,8 +114,9 @@ class SessionManager {
 
   /// Replay journals left in limits_.state_dir by a previous process. Call
   /// once, before serving requests. No-op without a state dir; throws
-  /// std::runtime_error when the state dir is unusable.
-  RecoveryStats recover();
+  /// std::runtime_error when the state dir is unusable. What it found is
+  /// counted in the recovery.* metrics of the returned snapshot.
+  MetricsSnapshot recover();
 
   /// Throws ProtocolError (kRetryLater at the session cap, kBadRequest for
   /// an unknown algorithm or bad space). Returns the new session id. A
@@ -301,10 +234,19 @@ class SessionManager {
   [[nodiscard]] ShipState ship_state() const noexcept {
     return shipper_ == nullptr ? ShipState::kDisabled : shipper_->state();
   }
+  /// "host:port" the shipper currently targets ("" = none).
+  [[nodiscard]] std::string ship_target() const {
+    return shipper_ == nullptr ? std::string() : shipper_->target();
+  }
 
   [[nodiscard]] std::size_t live() const;
-  [[nodiscard]] StatusReport status() const;
-  [[nodiscard]] std::vector<SessionInfo> sessions() const;
+  /// The manager's status metrics (its counters, sampled gauges and flags,
+  /// the shipper's, and the per-tenant quota rows).
+  [[nodiscard]] MetricsSnapshot metrics() const;
+  /// The `status` detail rows (id, algorithm, budget, asks, tells,
+  /// finished, idle_ms) of the first `max_rows` live sessions, in
+  /// registration order.
+  [[nodiscard]] Json session_rows(std::size_t max_rows) const;
   [[nodiscard]] const SessionLimits& limits() const noexcept { return limits_; }
 
  private:
@@ -403,16 +345,10 @@ class SessionManager {
       GUARDED_BY(mutex_);
   std::vector<std::string> tombstones_ GUARDED_BY(mutex_);
   std::uint64_t next_id_ GUARDED_BY(mutex_) = 1;
-  std::size_t opened_ GUARDED_BY(mutex_) = 0;
-  std::size_t closed_ GUARDED_BY(mutex_) = 0;
-  std::size_t evicted_ GUARDED_BY(mutex_) = 0;
-  std::size_t asks_total_ GUARDED_BY(mutex_) = 0;
-  std::size_t tells_total_ GUARDED_BY(mutex_) = 0;
-  std::size_t duplicate_tells_ GUARDED_BY(mutex_) = 0;
-  std::size_t wal_errors_ GUARDED_BY(mutex_) = 0;
-  std::size_t store_errors_ GUARDED_BY(mutex_) = 0;
-  RecoveryStats recovery_ GUARDED_BY(mutex_);
-  tuner::FailureCounters tallies_ GUARDED_BY(mutex_);
+  /// Status counters. Bumps that pair with a change of sessions_ happen
+  /// under mutex_, and metrics() reads them under it, so opened == live +
+  /// closed + evicted holds in every snapshot.
+  MetricSet metrics_;
   // --- tenant quota / admission state (all under mutex_) -------------------
   /// Live sessions per named tenant (anonymous sessions are uncounted).
   std::unordered_map<std::string, std::size_t> tenant_live_ GUARDED_BY(mutex_);
@@ -429,13 +365,6 @@ class SessionManager {
       admission_queues_ GUARDED_BY(mutex_);
   std::string drr_cursor_ GUARDED_BY(mutex_);
   std::size_t admission_depth_ GUARDED_BY(mutex_) = 0;
-  std::size_t admission_queued_total_ GUARDED_BY(mutex_) = 0;
-  std::size_t admission_granted_ GUARDED_BY(mutex_) = 0;
-  std::size_t admission_timeouts_ GUARDED_BY(mutex_) = 0;
-  std::size_t shed_anonymous_ GUARDED_BY(mutex_) = 0;
-  std::size_t shed_over_quota_ GUARDED_BY(mutex_) = 0;
-  std::size_t shed_queue_full_ GUARDED_BY(mutex_) = 0;
-  std::size_t tell_pushbacks_ GUARDED_BY(mutex_) = 0;
   /// Waiters block here via MutexLock::native(); signalled by the drain.
   std::condition_variable admission_cv_;
   /// Primary-side replication; null unless ship.port != 0 or a state_dir is

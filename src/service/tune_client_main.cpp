@@ -20,6 +20,7 @@
 #include "common/rng.hpp"
 #include "harness/context.hpp"
 #include "service/client.hpp"
+#include "service/metrics.hpp"
 #include "tuner/registry.hpp"
 
 namespace {
@@ -363,13 +364,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  const Json status = client.status();
-  const Json* tells = status.find("tells");
-  std::printf("daemon: %zu sessions opened, %llu tells served\n",
-              static_cast<std::size_t>(status.find("opened")->as_uint64()),
-              tells != nullptr
-                  ? static_cast<unsigned long long>(tells->as_uint64())
-                  : 0ULL);
+  const service::MetricsSnapshot status =
+      service::MetricsSnapshot::decode(client.status());
+  std::printf("daemon: %llu sessions opened, %llu tells served\n",
+              static_cast<unsigned long long>(status[service::Metric::kOpened]),
+              static_cast<unsigned long long>(status[service::Metric::kTells]));
   if (csv != nullptr) std::fclose(csv);
   client.disconnect();
   if (cli.get_flag("verify") && !all_verified) {

@@ -160,11 +160,14 @@ int main(int argc, char** argv) {
       const auto now = std::chrono::steady_clock::now();  // NOLINT(reprolint-wall-clock)
       if (now - last_status >= std::chrono::milliseconds(status_interval)) {
         last_status = now;
-        const service::StatusReport report = server.sessions().status();
+        using service::Metric;
+        const service::MetricsSnapshot status = server.metrics();
         log_info("tuned: status live={} opened={} closed={} evicted={} asks={} tells={} "
                  "connections={}",
-                 report.live_sessions, report.opened, report.closed, report.evicted,
-                 report.asks, report.tells, server.active_connections());
+                 status[Metric::kLiveSessions], status[Metric::kOpened],
+                 status[Metric::kClosed], status[Metric::kEvicted],
+                 status[Metric::kAsks], status[Metric::kTells],
+                 status[Metric::kActiveConnections]);
       }
     }
   }

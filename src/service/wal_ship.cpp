@@ -90,29 +90,17 @@ void WalShipper::redial_loop() {
   ensure_link(/*ignore_backoff=*/false);
 }
 
-bool WalShipper::connected() const {
+void WalShipper::sample(MetricsSnapshot& snapshot) const {
+  metrics_.add_to(snapshot);
   repro::MutexLock lock(mutex_);
-  return link_ != nullptr && !fenced_;
+  snapshot.set(Metric::kShipEnabled, config_.port != 0);
+  snapshot.set(Metric::kShipConnected, link_ != nullptr && !fenced_);
+  snapshot.set(Metric::kShipFenced, fenced_);
 }
 
-bool WalShipper::fenced() const {
+std::string WalShipper::target() const {
   repro::MutexLock lock(mutex_);
-  return fenced_;
-}
-
-bool WalShipper::enabled() const {
-  repro::MutexLock lock(mutex_);
-  return config_.port != 0;
-}
-
-ShipCounters WalShipper::counters() const {
-  repro::MutexLock lock(mutex_);
-  return counters_;
-}
-
-std::pair<std::string, std::uint16_t> WalShipper::target() const {
-  repro::MutexLock lock(mutex_);
-  return {config_.host, config_.port};
+  return config_.port == 0 ? std::string() : config_.host + ":" + std::to_string(config_.port);
 }
 
 void WalShipper::retarget(const std::string& host, std::uint16_t port) {
@@ -122,7 +110,7 @@ void WalShipper::retarget(const std::string& host, std::uint16_t port) {
   attempted_ = false;
   config_.host = host;
   config_.port = port;
-  ++counters_.retargets;
+  metrics_.add(Metric::kShipRetargets);
   state_.store(port == 0 ? ShipState::kDisabled : ShipState::kDown,
                std::memory_order_release);
   if (port != 0) {
@@ -188,7 +176,7 @@ bool WalShipper::ensure_link(bool ignore_backoff) {
     return false;
   }
   link_ = std::move(link);
-  if (ever_connected_) ++counters_.reconnects;
+  if (ever_connected_) metrics_.add(Metric::kShipReconnects);
   ever_connected_ = true;
   state_.store(ShipState::kCatchingUp, std::memory_order_release);
   log_info("wal_ship: connected to follower {}:{} (catching up)", config_.host,
@@ -212,7 +200,7 @@ std::optional<Json> WalShipper::call(const Json& request) {
   const auto deadline = std::chrono::steady_clock::now() + config_.rpc_timeout;
   std::optional<Json> reply = link_->call(request, deadline);
   if (!reply) {
-    ++counters_.failures;
+    metrics_.add(Metric::kShipFailures);
     link_.reset();
     state_.store(ShipState::kDown, std::memory_order_release);
     // The backoff paces consecutive failed connects, not the first retry
@@ -253,7 +241,7 @@ bool WalShipper::resync() {
     log_warn("wal_ship: resync cannot list {}: {}", config_.state_dir, error.what());
     return false;
   }
-  ++counters_.resyncs;
+  metrics_.add(Metric::kShipResyncs);
   // Snapshot before journals: the digest chains each tenant's rows in
   // insertion order, so a fresh follower must receive the store exactly as
   // the primary holds it. Journal-derived rows then dedup into positions
@@ -277,7 +265,7 @@ bool WalShipper::resync() {
     open.set("open", encode_open(journal.open));
     std::optional<Json> reply = call(open);
     if (!reply || !reply->find("ok")->as_bool()) return false;
-    ++counters_.records_shipped;
+    metrics_.add(Metric::kShipRecordsShipped);
     for (const WalTell& tell : journal.tells) {
       Json record = Json::object();
       record.set("op", "ship_tell");
@@ -287,8 +275,8 @@ bool WalShipper::resync() {
       encode_evaluation_into(record, tell.evaluation);
       reply = call(record);
       if (!reply || !reply->find("ok")->as_bool()) return false;
-      ++counters_.records_shipped;
-      if (reply->find("duplicate") != nullptr) ++counters_.duplicates_acked;
+      metrics_.add(Metric::kShipRecordsShipped);
+      if (reply->find("duplicate") != nullptr) metrics_.add(Metric::kShipDuplicatesAcked);
     }
     if (journal.evicted) {
       Json evict = Json::object();
@@ -296,7 +284,7 @@ bool WalShipper::resync() {
       evict.set("session", journal.id);
       reply = call(evict);
       if (!reply || !reply->find("ok")->as_bool()) return false;
-      ++counters_.records_shipped;
+      metrics_.add(Metric::kShipRecordsShipped);
     }
     ++sessions;
   }
@@ -339,7 +327,7 @@ bool WalShipper::resync_store() {
     cursor_tenant = page.next_tenant_flat;
     cursor_row = page.next_row;
   }
-  counters_.store_rows_resynced += rows;
+  metrics_.add(Metric::kShipStoreRowsResynced, rows);
   return true;
 }
 
@@ -406,15 +394,15 @@ bool WalShipper::ship(const Json& request) {
   if (!reply) return false;
   const Json* ok = reply->find("ok");
   if (ok == nullptr || !ok->is_bool() || !ok->as_bool()) {
-    ++counters_.failures;
+    metrics_.add(Metric::kShipFailures);
     const Json* message = reply->find("message");
     log_warn("wal_ship: follower refused record: {}",
              message != nullptr && message->is_string() ? message->as_string()
                                                         : reply->dump());
     return false;
   }
-  ++counters_.records_shipped;
-  if (reply->find("duplicate") != nullptr) ++counters_.duplicates_acked;
+  metrics_.add(Metric::kShipRecordsShipped);
+  if (reply->find("duplicate") != nullptr) metrics_.add(Metric::kShipDuplicatesAcked);
   return true;
 }
 

@@ -65,6 +65,7 @@
 
 #include "common/socket.hpp"
 #include "common/thread_annotations.hpp"
+#include "service/metrics.hpp"
 #include "service/protocol.hpp"
 #include "store/results_store.hpp"
 
@@ -95,17 +96,6 @@ struct ShipConfig {
 enum class ShipState { kDisabled, kDown, kCatchingUp, kHot, kFenced };
 
 [[nodiscard]] const char* to_string(ShipState state) noexcept;
-
-/// Replication-side tallies (surfaced through the `status` endpoint).
-struct ShipCounters {
-  std::size_t records_shipped = 0;    ///< acked ship RPCs (all kinds)
-  std::size_t duplicates_acked = 0;   ///< follower answered {"duplicate":true}
-  std::size_t resyncs = 0;            ///< full journal re-ships performed
-  std::size_t reconnects = 0;         ///< successful connects after the first
-  std::size_t failures = 0;           ///< RPCs that failed (link went down)
-  std::size_t retargets = 0;          ///< retarget() calls (re-seed attempts)
-  std::size_t store_rows_resynced = 0;  ///< snapshot rows shipped by resyncs
-};
 
 /// Primary-side shipper. Thread-safe: ship calls from concurrent session
 /// ops are serialized on one link (per-session record order is already
@@ -138,24 +128,19 @@ class WalShipper {
   /// Idempotent on redelivery: the follower's store dedups rows.
   bool ship_store_import(const std::vector<store::TenantSnapshot>& tenants);
 
-  /// Link currently established and not fenced. False = the shard is
-  /// degraded (serving without a live standby).
-  [[nodiscard]] bool connected() const;
-  /// Stopped after the follower reported wrong_role (it was promoted; this
-  /// process is a stale primary). Cleared only by retarget().
-  [[nodiscard]] bool fenced() const;
-  /// A ship target is configured (port != 0).
-  [[nodiscard]] bool enabled() const;
   /// Lock-free link state — readable even while a resync is in flight.
   [[nodiscard]] ShipState state() const noexcept {
     return state_.load(std::memory_order_acquire);
   }
-  /// Resync complete and digest gate passed: the follower is a promotable
-  /// hot standby.
-  [[nodiscard]] bool hot() const noexcept { return state() == ShipState::kHot; }
-  [[nodiscard]] ShipCounters counters() const;
-  /// Current follower endpoint (changes on retarget()).
-  [[nodiscard]] std::pair<std::string, std::uint16_t> target() const;
+  /// Add the ship.* counters and three flags to a status snapshot:
+  /// ship_enabled (a target is configured), ship_connected (link up and not
+  /// fenced; false while enabled = the shard is degraded) and ship_fenced
+  /// (the follower reported wrong_role: it was promoted and this process is
+  /// a stale primary; cleared only by retarget()).
+  void sample(MetricsSnapshot& snapshot) const;
+  /// Current follower endpoint as "host:port" ("" when shipping is
+  /// disabled); changes on retarget().
+  [[nodiscard]] std::string target() const;
 
   /// Point the shipper at a replacement follower: tears down the link,
   /// clears a fence, and swaps host/port (port 0 disables shipping — the
@@ -165,7 +150,8 @@ class WalShipper {
   void retarget(const std::string& host, std::uint16_t port);
 
   /// Force a connect (+ resync) attempt now, ignoring the reconnect
-  /// backoff window. Returns connected(). Used at startup and by tests.
+  /// backoff window. Returns true when the link is up and not fenced.
+  /// Used at startup and by tests.
   bool connect_now();
 
  private:
@@ -200,7 +186,7 @@ class WalShipper {
   /// Reconnect pacing; never feeds tuning results.
   std::chrono::steady_clock::time_point last_attempt_ GUARDED_BY(mutex_);
   bool attempted_ GUARDED_BY(mutex_) = false;
-  ShipCounters counters_ GUARDED_BY(mutex_);
+  MetricSet metrics_;
   std::atomic<ShipState> state_{ShipState::kDown};
 
   /// Redial machinery. The thread parks on redial_cv_ so destruction is

@@ -113,11 +113,11 @@ TEST(CrashRecovery, EveryPaperAlgorithmSurvivesAMidSessionCrash) {
         // record is written; the journal holds open + crash_after tells.
       }
       SessionManager recovered(limits_with(dir));
-      const RecoveryStats stats = recovered.recover();
-      ASSERT_EQ(stats.sessions_recovered, 1u)
+      const MetricsSnapshot stats = recovered.recover();
+      ASSERT_EQ(stats[Metric::kSessionsRecovered], 1u)
           << algorithm << " crash_after=" << crash_after;
-      EXPECT_EQ(stats.tells_replayed, crash_after);
-      EXPECT_EQ(stats.sessions_failed, 0u);
+      EXPECT_EQ(stats[Metric::kTellsReplayed], crash_after);
+      EXPECT_EQ(stats[Metric::kSessionsFailed], 0u);
       EXPECT_EQ(recovered.live(), 1u);
 
       const tuner::TuneResult resumed =
@@ -153,11 +153,11 @@ TEST(CrashRecovery, RecoveryIsIdempotentAcrossRepeatedCrashes) {
   }
   {
     SessionManager manager(limits_with(dir));
-    ASSERT_EQ(manager.recover().tells_replayed, 5u);
+    ASSERT_EQ(manager.recover()[Metric::kTellsReplayed], 5u);
     seq = drive(manager, id, space, salt, seq, 6, false).next_seq;
   }
   SessionManager manager(limits_with(dir));
-  ASSERT_EQ(manager.recover().tells_replayed, 11u);
+  ASSERT_EQ(manager.recover()[Metric::kTellsReplayed], 11u);
   const tuner::TuneResult resumed =
       drive(manager, id, space, salt, seq, SIZE_MAX).result;
   EXPECT_TRUE(same_result(baseline, resumed));
@@ -179,11 +179,11 @@ TEST(CrashRecovery, TornTailIsDroppedAndTheSessionStillRecovers) {
     out << "{\"wal\":\"tell\",\"seq\":7,\"con";  // no newline
   }
   SessionManager recovered(limits_with(dir));
-  const RecoveryStats stats = recovered.recover();
-  EXPECT_EQ(stats.sessions_recovered, 1u);
-  EXPECT_EQ(stats.torn_tails, 1u);
+  const MetricsSnapshot stats = recovered.recover();
+  EXPECT_EQ(stats[Metric::kSessionsRecovered], 1u);
+  EXPECT_EQ(stats[Metric::kTornTails], 1u);
   // The torn record is gone; the next applied tell is seq 7 again.
-  EXPECT_EQ(stats.tells_replayed, 6u);
+  EXPECT_EQ(stats[Metric::kTellsReplayed], 6u);
   const tuner::TuneResult resumed = drive(recovered, id, space, 9, 7, SIZE_MAX).result;
   EXPECT_TRUE(resumed.evaluations_used > 0);
 }
@@ -214,9 +214,9 @@ TEST(CrashRecovery, MalformedInteriorRecordLosesOnlyThatSession) {
     out << text;
   }
   SessionManager recovered(limits_with(dir));
-  const RecoveryStats stats = recovered.recover();
-  EXPECT_EQ(stats.sessions_failed, 1u);
-  EXPECT_EQ(stats.sessions_recovered, 1u);
+  const MetricsSnapshot stats = recovered.recover();
+  EXPECT_EQ(stats[Metric::kSessionsFailed], 1u);
+  EXPECT_EQ(stats[Metric::kSessionsRecovered], 1u);
   EXPECT_EQ(recovered.live(), 1u);
   // The healthy session is usable; the broken id reads as never-existed.
   EXPECT_NO_THROW((void)recovered.ask(healthy_id));
@@ -235,9 +235,9 @@ TEST(CrashRecovery, CloseRecordWithoutUnlinkIsDiscardedOnRecovery) {
     ASSERT_TRUE(wal->append_close());
   }
   SessionManager recovered(limits_with(dir));
-  const RecoveryStats stats = recovered.recover();
-  EXPECT_EQ(stats.closed_discarded, 1u);
-  EXPECT_EQ(stats.sessions_recovered, 0u);
+  const MetricsSnapshot stats = recovered.recover();
+  EXPECT_EQ(stats[Metric::kClosedDiscarded], 1u);
+  EXPECT_EQ(stats[Metric::kSessionsRecovered], 0u);
   EXPECT_NE(::access(path.c_str(), F_OK), 0);  // journal deleted
 }
 
@@ -251,8 +251,8 @@ TEST(CrashRecovery, EvictionRecordBecomesATombstoneAcrossRestart) {
     ASSERT_TRUE(wal->append_evicted());
   }
   SessionManager recovered(limits_with(dir));
-  const RecoveryStats stats = recovered.recover();
-  EXPECT_EQ(stats.evicted_tombstones, 1u);
+  const MetricsSnapshot stats = recovered.recover();
+  EXPECT_EQ(stats[Metric::kEvictedTombstones], 1u);
   EXPECT_EQ(recovered.live(), 0u);
   // Distinguishable from never-existed even after the restart.
   try {
@@ -283,7 +283,7 @@ TEST(CrashRecovery, DuplicateTellSeqIsAcknowledgedNotReapplied) {
   // The retry after a lost ack: same seq, acknowledged without re-applying.
   const SessionManager::TellAck replay = manager.tell(id, eval, 1);
   EXPECT_TRUE(replay.duplicate);
-  EXPECT_EQ(manager.status().duplicate_tells, 1u);
+  EXPECT_EQ(manager.metrics()[Metric::kDuplicateTells], 1u);
   // A gap is a client bug, not a retry.
   try {
     (void)manager.tell(id, eval, 5);
@@ -305,7 +305,7 @@ TEST(CrashRecovery, OpenTokenDedupesAgainstRecoveredSessions) {
     id = manager.open(params, "campaign#1/rs/8");
   }
   SessionManager recovered(limits_with(dir));
-  ASSERT_EQ(recovered.recover().sessions_recovered, 1u);
+  ASSERT_EQ(recovered.recover()[Metric::kSessionsRecovered], 1u);
   EXPECT_EQ(recovered.open(params, "campaign#1/rs/8"), id);
   EXPECT_EQ(recovered.live(), 1u);
 }

@@ -98,7 +98,7 @@ TEST(WalShipEdge, FollowerBehindByTornTailCatchesUpOnResync) {
   config.limits.state_dir = pair.dir + "/standby";
   pair.standby = std::make_unique<TuneServer>(config);
   pair.standby->start();
-  EXPECT_EQ(pair.standby->sessions().status().tells, 3u);
+  EXPECT_EQ(pair.standby->sessions().metrics()[Metric::kTells], 3u);
 
   // Point the primary's shipper at the restarted follower (fresh
   // ephemeral port): reconnect -> resync re-ships the whole journal;
@@ -113,10 +113,10 @@ TEST(WalShipEdge, FollowerBehindByTornTailCatchesUpOnResync) {
   pair.primary = std::make_unique<TuneServer>(primary_config);
   pair.primary->start();
 
-  const StatusReport primary_status = pair.primary->sessions().status();
-  EXPECT_TRUE(primary_status.ship_connected);
-  EXPECT_GE(primary_status.ship.duplicates_acked, 3u);
-  EXPECT_EQ(pair.standby->sessions().status().tells, 4u)
+  const MetricsSnapshot primary_status = pair.primary->sessions().metrics();
+  EXPECT_TRUE(primary_status[Metric::kShipConnected]);
+  EXPECT_GE(primary_status[Metric::kShipDuplicatesAcked], 3u);
+  EXPECT_EQ(pair.standby->sessions().metrics()[Metric::kTells], 4u)
       << "the torn-off tell never reached the follower's live session";
 }
 
@@ -149,10 +149,10 @@ TEST(WalShipEdge, WholeJournalDuplicateDeliveryIsIdempotent) {
     ASSERT_TRUE(config.has_value());
     (void)client.tell(id, synth_eval(space, *config, 19));
   }
-  const StatusReport primary_status = pair.primary->sessions().status();
-  EXPECT_GE(primary_status.ship.resyncs, 2u);
-  EXPECT_GE(primary_status.ship.duplicates_acked, 5u);
-  EXPECT_EQ(pair.standby->sessions().status().tells, 6u);
+  const MetricsSnapshot primary_status = pair.primary->sessions().metrics();
+  EXPECT_GE(primary_status[Metric::kShipResyncs], 2u);
+  EXPECT_GE(primary_status[Metric::kShipDuplicatesAcked], 5u);
+  EXPECT_EQ(pair.standby->sessions().metrics()[Metric::kTells], 6u);
 
   // And the replica still mirrors the primary bit-for-bit: promote it and
   // finish the session there.

@@ -65,14 +65,14 @@ TEST(Failover, AcknowledgedTellsAreLiveOnTheStandby) {
   }
   // Every acknowledged tell is already applied on the standby's live
   // session — hot, not just journaled.
-  const StatusReport primary_status = pair.primary->sessions().status();
-  EXPECT_TRUE(primary_status.ship_enabled);
-  EXPECT_TRUE(primary_status.ship_connected);
-  EXPECT_FALSE(primary_status.ship_fenced);
-  EXPECT_GE(primary_status.ship.records_shipped, 6u);  // open + 5 tells
-  const StatusReport standby_status = pair.standby->sessions().status();
-  EXPECT_EQ(standby_status.live_sessions, 1u);
-  EXPECT_EQ(standby_status.tells, 5u);
+  const MetricsSnapshot primary_status = pair.primary->sessions().metrics();
+  EXPECT_TRUE(primary_status[Metric::kShipEnabled]);
+  EXPECT_TRUE(primary_status[Metric::kShipConnected]);
+  EXPECT_FALSE(primary_status[Metric::kShipFenced]);
+  EXPECT_GE(primary_status[Metric::kShipRecordsShipped], 6u);  // open + 5 tells
+  const MetricsSnapshot standby_status = pair.standby->sessions().metrics();
+  EXPECT_EQ(standby_status[Metric::kLiveSessions], 1u);
+  EXPECT_EQ(standby_status[Metric::kTells], 5u);
 }
 
 TEST(Failover, StandbyRefusesSessionOpsUntilPromoted) {
@@ -114,9 +114,9 @@ TEST(Failover, StalePrimaryFencesItselfAfterPromotion) {
   const auto second = client.ask(id);
   ASSERT_TRUE(second.has_value());
   (void)client.tell(id, synth_eval(space, *second, 9));
-  const StatusReport status = pair.primary->sessions().status();
-  EXPECT_TRUE(status.ship_fenced);
-  EXPECT_FALSE(status.ship_connected);
+  const MetricsSnapshot status = pair.primary->sessions().metrics();
+  EXPECT_TRUE(status[Metric::kShipFenced]);
+  EXPECT_FALSE(status[Metric::kShipConnected]);
 }
 
 TEST(Failover, ShipperResyncsAfterStandbyRestartAndAcksDuplicates) {
@@ -143,18 +143,18 @@ TEST(Failover, ShipperResyncsAfterStandbyRestartAndAcksDuplicates) {
   standby_config.limits.state_dir = standby_dir;
   pair.standby = std::make_unique<TuneServer>(standby_config);
   pair.standby->start();
-  EXPECT_EQ(pair.standby->sessions().status().recovery.sessions_recovered, 1u);
+  EXPECT_EQ(pair.standby->sessions().metrics()[Metric::kSessionsRecovered], 1u);
 
   for (int i = 0; i < 2; ++i) {
     const auto config = client.ask(id);
     ASSERT_TRUE(config.has_value());
     (void)client.tell(id, synth_eval(space, *config, 9));
   }
-  const StatusReport status = pair.primary->sessions().status();
-  EXPECT_TRUE(status.ship_connected);
-  EXPECT_GE(status.ship.resyncs, 2u);  // initial connect + reconnect
-  EXPECT_GE(status.ship.duplicates_acked, 3u);
-  EXPECT_EQ(pair.standby->sessions().status().tells, 5u);
+  const MetricsSnapshot status = pair.primary->sessions().metrics();
+  EXPECT_TRUE(status[Metric::kShipConnected]);
+  EXPECT_GE(status[Metric::kShipResyncs], 2u);  // initial connect + reconnect
+  EXPECT_GE(status[Metric::kShipDuplicatesAcked], 3u);
+  EXPECT_EQ(pair.standby->sessions().metrics()[Metric::kTells], 5u);
 }
 
 TEST(Failover, RouterFailoverMidSessionIsByteIdenticalForEveryAlgorithm) {

@@ -122,10 +122,10 @@ TEST(Reseed, ProberAttachesASpareAndTheShardSurvivesASecondCrash) {
   const std::vector<ShardSnapshot> healed = router.shards();
   EXPECT_TRUE(healed[0].has_standby);
   EXPECT_EQ(healed[0].reseeds, 1u);
-  const StatusReport shipping = standby->sessions().status();
-  EXPECT_TRUE(shipping.ship_enabled);
-  EXPECT_TRUE(shipping.ship_connected);
-  EXPECT_GE(shipping.ship.resyncs, 1u);
+  const MetricsSnapshot shipping = standby->sessions().metrics();
+  EXPECT_TRUE(shipping[Metric::kShipEnabled]);
+  EXPECT_TRUE(shipping[Metric::kShipConnected]);
+  EXPECT_GE(shipping[Metric::kShipResyncs], 1u);
 
   // Fault 2: the new primary dies mid-campaign; the re-seeded spare takes
   // over and the study completes byte-identically — no acked tell lost
@@ -180,18 +180,18 @@ TEST(Reseed, DeposedPrimaryAutoDemotesAndIsReseededByTheNewPrimary) {
   for (int i = 0; i < 200 && !(demoted = primary->standby()); ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   ASSERT_TRUE(demoted) << "fenced primary never demoted itself";
-  EXPECT_EQ(primary->demotions(), 1u);
+  EXPECT_EQ(primary->metrics()[Metric::kDemotions], 1u);
   EXPECT_EQ(primary->sessions().live(), 0u);  // divergent state is gone
 
   // The new primary re-seeds the rejoined follower from its own journals;
   // the divergent 4th tell (acked only by the deposed primary) is not
   // replayed — the shard's truth is the promoted side's 3-tell history.
-  // status().tells is a lifetime counter that survives the demote reset,
+  // The tells metric is a lifetime counter that survives the demote reset,
   // so assert the delta, not the absolute.
-  const std::size_t tells_before = primary->sessions().status().tells;
+  const std::size_t tells_before = primary->sessions().metrics()[Metric::kTells];
   ASSERT_TRUE(standby->sessions().reseed("127.0.0.1", primary->port()));
-  EXPECT_EQ(primary->sessions().status().tells, tells_before + 3);
-  EXPECT_EQ(primary->sessions().status().live_sessions, 1u);
+  EXPECT_EQ(primary->sessions().metrics()[Metric::kTells], tells_before + 3);
+  EXPECT_EQ(primary->sessions().metrics()[Metric::kLiveSessions], 1u);
 
   // New tells replicate to the rejoined follower like any hot standby's.
   Client promoted_client(resilient_config(standby->port()));
@@ -200,10 +200,10 @@ TEST(Reseed, DeposedPrimaryAutoDemotesAndIsReseededByTheNewPrimary) {
     ASSERT_TRUE(config.has_value());
     (void)promoted_client.tell(id, synth_eval(space, *config, 9));
   }
-  EXPECT_EQ(primary->sessions().status().tells, tells_before + 5);
-  const StatusReport shipping = standby->sessions().status();
-  EXPECT_TRUE(shipping.ship_connected);
-  EXPECT_FALSE(shipping.ship_fenced);
+  EXPECT_EQ(primary->sessions().metrics()[Metric::kTells], tells_before + 5);
+  const MetricsSnapshot shipping = standby->sessions().metrics();
+  EXPECT_TRUE(shipping[Metric::kShipConnected]);
+  EXPECT_FALSE(shipping[Metric::kShipFenced]);
   standby->stop();
   primary->stop();
 }
@@ -229,7 +229,7 @@ TEST(Reseed, ResyncResumesFromWatermarksWhenTheFollowerCrashesAndReturns) {
   // Runtime re-seed of a primary that was born without a follower: the
   // retargeted shipper resyncs the whole history and flips hot.
   ASSERT_TRUE(primary->sessions().reseed("127.0.0.1", follower->port()));
-  EXPECT_EQ(follower->sessions().status().tells, 3u);
+  EXPECT_EQ(follower->sessions().metrics()[Metric::kTells], 3u);
 
   // The follower crashes mid-service and comes back over its own journals
   // on the same port. The next ship reconnects and resyncs again; the
@@ -239,17 +239,17 @@ TEST(Reseed, ResyncResumesFromWatermarksWhenTheFollowerCrashesAndReturns) {
   follower->stop();
   follower.reset();
   follower = start_standby(dir + "/follower", follower_port);
-  EXPECT_EQ(follower->sessions().status().recovery.sessions_recovered, 1u);
+  EXPECT_EQ(follower->sessions().metrics()[Metric::kSessionsRecovered], 1u);
   for (int i = 0; i < 2; ++i) {
     const auto config = client.ask(id);
     ASSERT_TRUE(config.has_value());
     (void)client.tell(id, synth_eval(space, *config, 9));
   }
-  const StatusReport status = primary->sessions().status();
-  EXPECT_TRUE(status.ship_connected);
-  EXPECT_GE(status.ship.resyncs, 2u);
-  EXPECT_GE(status.ship.duplicates_acked, 3u);
-  EXPECT_EQ(follower->sessions().status().tells, 5u);
+  const MetricsSnapshot status = primary->sessions().metrics();
+  EXPECT_TRUE(status[Metric::kShipConnected]);
+  EXPECT_GE(status[Metric::kShipResyncs], 2u);
+  EXPECT_GE(status[Metric::kShipDuplicatesAcked], 3u);
+  EXPECT_EQ(follower->sessions().metrics()[Metric::kTells], 5u);
   follower->stop();
   primary->stop();
 }

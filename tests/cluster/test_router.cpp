@@ -128,9 +128,11 @@ TEST(Router, AggregatedStatusSumsShardsAndReportsHealth) {
     const Json* shard_status = entry.find("status");
     ASSERT_NE(shard_status, nullptr) << "per-shard status must be embedded";
     EXPECT_EQ(shard_status->find("role")->as_string(), "primary");
-    // These shards run without WAL; recovery stats appear (see
-    // test_failover) only when durability is on.
+    // These shards run without WAL: the flag says so, and the recovery
+    // block is still present (all zeros).
     ASSERT_NE(shard_status->find("wal_enabled"), nullptr);
+    EXPECT_FALSE(shard_status->find("wal_enabled")->as_bool());
+    ASSERT_NE(shard_status->find("recovery"), nullptr);
   }
   EXPECT_EQ(placed, 6u);
   for (const std::string& id : ids) client.close_session(id);

@@ -76,7 +76,7 @@ TEST(StoreReplication, ShippedTellsKeepBothStoresDigestEqual) {
     ASSERT_EQ(pair.primary->store()->digest(), pair.standby->store()->digest())
         << "stores diverged after tell " << i;
   }
-  ASSERT_TRUE(pair.primary->sessions().status().ship_connected);
+  ASSERT_TRUE(pair.primary->sessions().metrics()[Metric::kShipConnected]);
   EXPECT_GE(pair.standby->store()->stats().records, 1u);
 }
 

@@ -83,9 +83,9 @@ TEST(RaceSessionManager, EvictionRacesLiveTraffic) {
   evictor.join();
 
   EXPECT_EQ(completed.load() + interrupted.load(), kDrivers * kRoundsPerDriver);
-  const StatusReport report = manager.status();
+  const MetricsSnapshot report = manager.metrics();
   // Conservation: every opened session is live, closed, or evicted.
-  EXPECT_EQ(report.opened, report.live_sessions + report.closed + report.evicted);
+  EXPECT_EQ(report[Metric::kOpened], report[Metric::kLiveSessions] + report[Metric::kClosed] + report[Metric::kEvicted]);
   manager.cancel_all();
   EXPECT_EQ(manager.live(), 0u);
 }
@@ -123,9 +123,9 @@ TEST(RaceSessionManager, ConcurrentOpensRespectSessionLimit) {
 
   EXPECT_EQ(accepted.load() + rejected.load(), kThreads * kAttemptsPerThread);
   EXPECT_EQ(manager.live(), 0u);
-  const StatusReport report = manager.status();
-  EXPECT_EQ(report.opened, accepted.load());
-  EXPECT_EQ(report.closed, accepted.load());
+  const MetricsSnapshot report = manager.metrics();
+  EXPECT_EQ(report[Metric::kOpened], accepted.load());
+  EXPECT_EQ(report[Metric::kClosed], accepted.load());
 }
 
 TEST(RaceSessionManager, CancelAllRacesBlockedResult) {

@@ -65,15 +65,15 @@ TEST(Quota, TenantSessionQuotaShedsOverQuotaOpensOnly) {
   manager.close(a1);
   const std::string a3 = manager.open(quota_open("acme", 5));
 
-  const StatusReport status = manager.status();
-  EXPECT_TRUE(status.quotas.enabled);
-  EXPECT_EQ(status.quotas.shed_over_quota, 1u);
-  EXPECT_EQ(status.quotas.shed_anonymous, 0u);
-  ASSERT_EQ(status.quotas.tenants.size(), 2u);  // sorted: acme, beta
-  EXPECT_EQ(status.quotas.tenants[0].tenant, "acme");
-  EXPECT_EQ(status.quotas.tenants[0].sessions, 2u);
-  EXPECT_EQ(status.quotas.tenants[1].tenant, "beta");
-  EXPECT_EQ(status.quotas.tenants[1].sessions, 1u);
+  const MetricsSnapshot status = manager.metrics();
+  EXPECT_TRUE(status[Metric::kQuotasEnabled]);
+  EXPECT_EQ(status[Metric::kShedOverQuota], 1u);
+  EXPECT_EQ(status[Metric::kShedAnonymous], 0u);
+  ASSERT_EQ(status.tenants.size(), 2u);  // sorted: acme, beta
+  EXPECT_EQ(status.tenants.begin()->first, "acme");
+  EXPECT_EQ(status.tenants.begin()->second[kTenantSessions], 2u);
+  EXPECT_EQ(status.tenants.rbegin()->first, "beta");
+  EXPECT_EQ(status.tenants.rbegin()->second[kTenantSessions], 1u);
   manager.close(a2);
   manager.close(a3);
   manager.close(b1);
@@ -89,7 +89,7 @@ TEST(Quota, AnonymousOpensAreShedFirstAtTheGlobalCap) {
   } catch (const ProtocolError& error) {
     EXPECT_EQ(error.code, ErrorCode::kRetryLater);
   }
-  EXPECT_EQ(manager.status().quotas.shed_anonymous, 1u);
+  EXPECT_EQ(manager.metrics()[Metric::kShedAnonymous], 1u);
   manager.close(s1);
   manager.close(s2);
 }
@@ -107,17 +107,17 @@ TEST(Quota, QueuedOpenIsGrantedWhenASlotFrees) {
   });
   // The waiter parks in the admission queue (never an error), and the
   // freed slot is handed to it, not to a new arrival.
-  for (int i = 0; i < 500 && manager.status().quotas.queue_depth == 0; ++i)
+  for (int i = 0; i < 500 && manager.metrics()[Metric::kQueueDepth] == 0; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  EXPECT_EQ(manager.status().quotas.queue_depth, 1u);
+  EXPECT_EQ(manager.metrics()[Metric::kQueueDepth], 1u);
   EXPECT_FALSE(admitted.load());
   manager.close(holder);
   waiter.join();
   EXPECT_TRUE(admitted.load());
-  const StatusReport status = manager.status();
-  EXPECT_EQ(status.quotas.queued, 1u);
-  EXPECT_EQ(status.quotas.granted, 1u);
-  EXPECT_EQ(status.quotas.timeouts, 0u);
+  const MetricsSnapshot status = manager.metrics();
+  EXPECT_EQ(status[Metric::kQueued], 1u);
+  EXPECT_EQ(status[Metric::kGranted], 1u);
+  EXPECT_EQ(status[Metric::kTimeouts], 0u);
 }
 
 TEST(Quota, QueueTimesOutWithTypedPushbackAndBoundIsEnforced) {
@@ -132,7 +132,7 @@ TEST(Quota, QueueTimesOutWithTypedPushbackAndBoundIsEnforced) {
     } catch (const ProtocolError&) {
     }
   });
-  for (int i = 0; i < 500 && manager.status().quotas.queue_depth == 0; ++i)
+  for (int i = 0; i < 500 && manager.metrics()[Metric::kQueueDepth] == 0; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   // Queue full: the next named open sheds immediately instead of queueing.
   try {
@@ -141,7 +141,7 @@ TEST(Quota, QueueTimesOutWithTypedPushbackAndBoundIsEnforced) {
   } catch (const ProtocolError& error) {
     EXPECT_EQ(error.code, ErrorCode::kRetryLater);
   }
-  EXPECT_EQ(manager.status().quotas.shed_queue_full, 1u);
+  EXPECT_EQ(manager.metrics()[Metric::kShedQueueFull], 1u);
   manager.close(holder);
   waiter.join();
 
@@ -156,7 +156,7 @@ TEST(Quota, QueueTimesOutWithTypedPushbackAndBoundIsEnforced) {
   } catch (const ProtocolError& error) {
     EXPECT_EQ(error.code, ErrorCode::kRetryLater);
   }
-  EXPECT_EQ(quick.status().quotas.timeouts, 1u);
+  EXPECT_EQ(quick.metrics()[Metric::kTimeouts], 1u);
   quick.close(busy);
 }
 
@@ -190,9 +190,9 @@ TEST(Quota, InflightTellQuotaKeepsTellsCorrectUnderContention) {
   t2.join();
   // Pushback must never lose or double-apply a tell: both sessions ran
   // their full budget exactly once per seq.
-  const StatusReport status = manager.status();
-  EXPECT_EQ(status.tells, 2 * kTells);
-  EXPECT_EQ(status.duplicate_tells, 0u);
+  const MetricsSnapshot status = manager.metrics();
+  EXPECT_EQ(status[Metric::kTells], 2 * kTells);
+  EXPECT_EQ(status[Metric::kDuplicateTells], 0u);
   manager.close(s1);
   manager.close(s2);
 }

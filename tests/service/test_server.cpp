@@ -272,6 +272,53 @@ TEST(Server, StatusReportsSessionsAndFailureTallies) {
   server.stop();
 }
 
+TEST(Server, StatusCapsSessionRowsAndCountsTheRest) {
+  // The status reply doubles as the router's health probe; it must not grow
+  // with the number of live sessions, or enough of them would push it past
+  // kMaxFrameBytes and fail the probe of a healthy primary.
+  constexpr std::size_t kCap = TuneServer::kStatusSessionRows;
+  ServerConfig config = fast_config();
+  config.limits.max_sessions = kCap + 8;
+  TuneServer server(config);
+  server.start();
+  Client client(client_config(server.port()));
+  client.connect();
+  std::vector<std::string> ids;
+  const auto open_more = [&](std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i)
+      ids.push_back(client.open(tiny_open("rs", 8, 1000 + ids.size())));
+  };
+  // Idle ages tick between calls; zero them so the sizes compare the schema.
+  const auto probe_size = [&](const Json& status) {
+    Json copy = status;
+    for (auto& [key, value] : copy.as_object()) {
+      if (key != "sessions") continue;
+      for (Json& row : value.as_array()) row.set("idle_ms", std::uint64_t{0});
+    }
+    return copy.dump().size();
+  };
+
+  open_more(kCap);
+  const Json at_cap = client.status();
+  EXPECT_EQ(at_cap.find("sessions")->as_array().size(), kCap);
+  EXPECT_EQ(at_cap.find("sessions_omitted")->as_uint64(), 0u);
+
+  open_more(8);
+  const Json past_cap = client.status();
+  const auto& rows = past_cap.find("sessions")->as_array();
+  ASSERT_EQ(rows.size(), kCap);
+  EXPECT_EQ(past_cap.find("sessions_omitted")->as_uint64(), 8u);
+  EXPECT_EQ(past_cap.find("live_sessions")->as_uint64(), kCap + 8);
+  // Registration order: the oldest sessions are listed.
+  EXPECT_EQ(rows.front().find("id")->as_string(), ids.front());
+  EXPECT_EQ(rows.back().find("id")->as_string(), ids[kCap - 1]);
+  // Eight more sessions add no rows: only same-width counters changed.
+  EXPECT_EQ(probe_size(past_cap), probe_size(at_cap));
+
+  for (const std::string& id : ids) client.close_session(id);
+  server.stop();
+}
+
 TEST(Server, IdleSessionsAreEvicted) {
   ServerConfig config = fast_config();
   config.limits.idle_timeout = std::chrono::milliseconds(100);
@@ -288,7 +335,7 @@ TEST(Server, IdleSessionsAreEvicted) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   EXPECT_EQ(server.sessions().live(), 0u);
-  EXPECT_GE(server.sessions().status().evicted, 1u);
+  EXPECT_GE(server.sessions().metrics()[Metric::kEvicted], 1u);
   try {
     (void)client.ask(session);
     FAIL() << "expected eviction error";
@@ -414,11 +461,11 @@ TEST(Server, StressSixtyFourInterleavedSessions) {
     EXPECT_TRUE(failures[t].empty()) << "client " << t << ": " << failures[t];
   }
 
-  const StatusReport report = server.sessions().status();
-  EXPECT_EQ(report.opened, kClients * kSessionsPerClient);
-  EXPECT_EQ(report.closed, kClients * kSessionsPerClient);
-  EXPECT_EQ(report.live_sessions, 0u);
-  EXPECT_EQ(report.tells, report.asks - kClients * kSessionsPerClient);
+  const MetricsSnapshot report = server.sessions().metrics();
+  EXPECT_EQ(report[Metric::kOpened], kClients * kSessionsPerClient);
+  EXPECT_EQ(report[Metric::kClosed], kClients * kSessionsPerClient);
+  EXPECT_EQ(report[Metric::kLiveSessions], 0u);
+  EXPECT_EQ(report[Metric::kTells], report[Metric::kAsks] - kClients * kSessionsPerClient);
   server.stop();
 }
 

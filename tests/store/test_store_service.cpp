@@ -370,7 +370,7 @@ TEST(StoreService, RecoveryReplaysTheJournaledPriorAndRepopulatesAFreshStore) {
   config.limits.state_dir = state_dir;
   TuneServer server(config);
   server.start();
-  ASSERT_EQ(server.sessions().status().recovery.sessions_recovered, 1u);
+  ASSERT_EQ(server.sessions().metrics()[Metric::kSessionsRecovered], 1u);
   Client client(client_config(server.port()));
   client.connect();
   const std::string id = client.open(warm, "recover#warm");  // same token

@@ -28,9 +28,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -38,6 +40,7 @@
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
@@ -112,11 +115,8 @@ double percentile(std::vector<double>& sorted, double p) {
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
-std::string json_number(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.1f", value);
-  return buffer;
-}
+/// Report precision: one decimal, as the committed snapshots carry.
+double round1(double value) { return std::round(value * 10.0) / 10.0; }
 
 }  // namespace
 
@@ -472,47 +472,56 @@ int main(int argc, char** argv) {
   const std::vector<service::ShardSnapshot> shards = router.shards();
   const std::size_t promotions = shards.empty() ? 0 : shards[0].promotions;
 
-  std::string report = "{\n";
-  report += "  \"tool\": \"loadgen\",\n";
-  report += "  \"topology\": {\"shards\": 1, \"hot_standby\": true, \"router\": \"tunelb\"},\n";
-  report += "  \"clients\": " + std::to_string(clients) + ",\n";
-  report += "  \"sessions\": " + std::to_string(merged.sessions) + ",\n";
-  report += "  \"budget_per_session\": " + std::to_string(budget) + ",\n";
-  report += "  \"evaluations\": " + std::to_string(merged.evaluations) + ",\n";
-  report += "  \"errors\": " + std::to_string(merged.errors) + ",\n";
-  report += "  \"wall_seconds\": " + json_number(wall_seconds) + ",\n";
-  report += "  \"throughput_evals_per_sec\": " +
-            json_number(wall_seconds > 0.0
-                            ? static_cast<double>(merged.evaluations) / wall_seconds
-                            : 0.0) +
-            ",\n";
-  report += "  \"ask_latency_us\": {\"p50\": " + json_number(percentile(merged.ask_us, 0.50)) +
-            ", \"p90\": " + json_number(percentile(merged.ask_us, 0.90)) +
-            ", \"p99\": " + json_number(percentile(merged.ask_us, 0.99)) + "},\n";
-  report += "  \"tell_latency_us\": {\"p50\": " + json_number(percentile(merged.tell_us, 0.50)) +
-            ", \"p90\": " + json_number(percentile(merged.tell_us, 0.90)) +
-            ", \"p99\": " + json_number(percentile(merged.tell_us, 0.99)) + "},\n";
-  report += "  \"warm_start\": {\"prior_rows\": " +
-            std::to_string(prior_rows_imported) +
-            ", \"sessions_per_arm\": " + std::to_string(kSplitSessions) +
-            ", \"budget\": " + std::to_string(split_budget) +
-            ", \"errors\": " + std::to_string(split_errors) +
-            ",\n    \"cold_ask_us\": {\"p50\": " + json_number(percentile(cold_ask_us, 0.50)) +
-            ", \"p90\": " + json_number(percentile(cold_ask_us, 0.90)) +
-            ", \"p99\": " + json_number(percentile(cold_ask_us, 0.99)) +
-            "},\n    \"warm_ask_us\": {\"p50\": " + json_number(percentile(warm_ask_us, 0.50)) +
-            ", \"p90\": " + json_number(percentile(warm_ask_us, 0.90)) +
-            ", \"p99\": " + json_number(percentile(warm_ask_us, 0.99)) + "}},\n";
-  report += std::string("  \"failover\": {\"drill\": ") +
-            (failover ? "true" : "false") +
-            ", \"blackout_ms\": " + json_number(blackout_ms) +
-            ", \"promotions\": " + std::to_string(promotions) + "},\n";
-  {
+  // Drills that did not run are left out, not reported as zeros.
+  const auto percentiles = [](std::vector<double>& sorted, bool with_p90) {
+    Json object = Json::object();
+    object.set("p50", round1(percentile(sorted, 0.50)));
+    if (with_p90) object.set("p90", round1(percentile(sorted, 0.90)));
+    object.set("p99", round1(percentile(sorted, 0.99)));
+    return object;
+  };
+  Json report = Json::object();
+  report.set("tool", "loadgen");
+  Json topology = Json::object();
+  topology.set("shards", 1);
+  topology.set("hot_standby", true);
+  topology.set("router", "tunelb");
+  report.set("topology", std::move(topology));
+  report.set("clients", clients);
+  report.set("sessions", merged.sessions);
+  report.set("budget_per_session", budget);
+  report.set("evaluations", merged.evaluations);
+  report.set("errors", merged.errors);
+  report.set("wall_seconds", round1(wall_seconds));
+  report.set("throughput_evals_per_sec",
+             round1(wall_seconds > 0.0
+                        ? static_cast<double>(merged.evaluations) / wall_seconds
+                        : 0.0));
+  report.set("ask_latency_us", percentiles(merged.ask_us, true));
+  report.set("tell_latency_us", percentiles(merged.tell_us, true));
+  if (!open_loop) {
+    Json warm_start = Json::object();
+    warm_start.set("prior_rows", prior_rows_imported);
+    warm_start.set("sessions_per_arm", kSplitSessions);
+    warm_start.set("budget", split_budget);
+    warm_start.set("errors", split_errors);
+    warm_start.set("cold_ask_us", percentiles(cold_ask_us, true));
+    warm_start.set("warm_ask_us", percentiles(warm_ask_us, true));
+    report.set("warm_start", std::move(warm_start));
+  }
+  if (failover) {
+    Json drill = Json::object();
+    drill.set("drill", true);
+    drill.set("blackout_ms", round1(blackout_ms));
+    drill.set("promotions", promotions);
+    report.set("failover", std::move(drill));
+  }
+  if (open_loop) {
     // Fairness headline: ratio of the best-served to worst-served tenant's
-    // evaluation throughput (1.0 = perfectly fair; meaningful only in the
-    // open loop, where quotas + DRR admission arbitrate overload).
+    // evaluation throughput (1.0 = perfectly fair), where quotas + DRR
+    // admission arbitrate overload.
     double min_tput = 0.0, max_tput = 0.0;
-    std::string tenants_json;
+    Json tenant_rows = Json::array();
     for (std::size_t t = 0; t < by_tenant.size(); ++t) {
       WorkerStats& bucket = by_tenant[t];
       const double tput =
@@ -521,50 +530,50 @@ int main(int argc, char** argv) {
               : 0.0;
       if (t == 0 || tput < min_tput) min_tput = tput;
       if (t == 0 || tput > max_tput) max_tput = tput;
-      tenants_json += "      {\"tenant\": \"tenant-" + std::to_string(t) +
-                      "\", \"offered\": " + std::to_string(bucket.offered) +
-                      ", \"sessions\": " + std::to_string(bucket.sessions) +
-                      ", \"pushbacks\": " + std::to_string(bucket.pushbacks) +
-                      ", \"sheds\": " + std::to_string(bucket.sheds) +
-                      ", \"throughput_evals_per_sec\": " + json_number(tput) +
-                      ",\n       \"ask_us\": {\"p50\": " +
-                      json_number(percentile(bucket.ask_us, 0.50)) +
-                      ", \"p99\": " +
-                      json_number(percentile(bucket.ask_us, 0.99)) + "}}";
-      if (t + 1 < by_tenant.size()) tenants_json += ",";
-      tenants_json += "\n";
+      Json row = Json::object();
+      row.set("tenant", "tenant-" + std::to_string(t));
+      row.set("offered", bucket.offered);
+      row.set("sessions", bucket.sessions);
+      row.set("pushbacks", bucket.pushbacks);
+      row.set("sheds", bucket.sheds);
+      row.set("throughput_evals_per_sec", round1(tput));
+      row.set("ask_us", percentiles(bucket.ask_us, false));
+      tenant_rows.push_back(std::move(row));
     }
-    report += std::string("  \"open_loop\": {\"enabled\": ") +
-              (open_loop ? "true" : "false") +
-              ", \"arrival_rate_per_sec\": " + json_number(arrival_rate) +
-              ",\n    \"offered_sessions\": " + std::to_string(merged.offered) +
-              ", \"completed_sessions\": " + std::to_string(merged.sessions) +
-              ", \"pushbacks\": " + std::to_string(merged.pushbacks) +
-              ", \"sheds\": " + std::to_string(merged.sheds) +
-              ",\n    \"shed_rate\": " +
-              json_number(merged.offered > 0
-                              ? 100.0 * static_cast<double>(merged.sheds) /
-                                    static_cast<double>(merged.offered)
-                              : 0.0) +
-              ", \"fairness_max_min_ratio\": " +
-              json_number(min_tput > 0.0 ? max_tput / min_tput : 0.0) +
-              ",\n    \"tenants\": [\n" + tenants_json + "    ]}\n";
+    Json drill = Json::object();
+    drill.set("enabled", true);
+    drill.set("arrival_rate_per_sec", round1(arrival_rate));
+    drill.set("offered_sessions", merged.offered);
+    drill.set("completed_sessions", merged.sessions);
+    drill.set("pushbacks", merged.pushbacks);
+    drill.set("sheds", merged.sheds);
+    drill.set("shed_rate",
+              round1(merged.offered > 0
+                         ? 100.0 * static_cast<double>(merged.sheds) /
+                               static_cast<double>(merged.offered)
+                         : 0.0));
+    drill.set("fairness_max_min_ratio",
+              round1(min_tput > 0.0 ? max_tput / min_tput : 0.0));
+    drill.set("tenants", std::move(tenant_rows));
+    report.set("open_loop", std::move(drill));
   }
-  report += "}\n";
 
   std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
   if (!out) {
     std::cerr << "loadgen: cannot open " << out_path << "\n";
     return 1;
   }
-  out << report;
+  out << report.dump() << "\n";
   out.close();
   std::cerr << "loadgen: " << merged.evaluations << " evaluations over "
-            << json_number(wall_seconds) << "s, " << merged.errors
+            << round1(wall_seconds) << "s, " << merged.errors
             << " errors; wrote " << out_path << "\n";
 
   router.stop();
   if (primary != nullptr) primary->stop();
   standby.stop();
+  // The scratch state (journals, stores) is this run's alone.
+  std::error_code ignored;
+  std::filesystem::remove_all(dir, ignored);
   return merged.errors == 0 && split_errors == 0 ? 0 : 1;
 }
