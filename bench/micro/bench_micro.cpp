@@ -9,8 +9,9 @@
 //               driver carries forward the `history` array of the existing
 //               --out file (when present and parseable) and appends one
 //               compact entry per run: date, git revision, smoke flag, host
-//               shape (google-benchmark's num_cpus and library_build_type)
-//               and the per-suite headline medians. The verbatim reports
+//               shape (google-benchmark's num_cpus and library_build_type,
+//               plus the build preset this tree was configured with) and
+//               the per-suite headline medians. The verbatim reports
 //               stay current-run-only; the history is the cheap
 //               longitudinal record reviewers diff across PRs.
 //   --check B — regression mode: run the suites, compute the same headline
@@ -156,24 +157,37 @@ struct Headline {
   std::size_t benchmarks = 0;
 };
 
+/// The build bench_micro was compiled in: CMAKE_BUILD_TYPE plus "+native",
+/// "+sanitize", "+ubsan" or "+tsan" for each code-changing option that is on.
+#ifndef REPRO_BUILD_PRESET
+#define REPRO_BUILD_PRESET ""
+#endif
+constexpr const char* kBuildPreset = REPRO_BUILD_PRESET;
+
 /// The machine a run was measured on, as google-benchmark's context
-/// reports it. num_cpus < 0 / empty build_type = not recorded.
+/// reports it, and the build preset of the suites. num_cpus < 0 / empty
+/// build_type / empty preset = not recorded.
 struct HostShape {
   std::int64_t num_cpus = -1;
   std::string build_type;
+  std::string preset;
 
-  [[nodiscard]] bool known() const { return num_cpus >= 0 || !build_type.empty(); }
+  [[nodiscard]] bool known() const {
+    return num_cpus >= 0 || !build_type.empty() || !preset.empty();
+  }
   [[nodiscard]] bool operator==(const HostShape&) const = default;
 };
 
-/// Read num_cpus and library_build_type from an object holding them (a
-/// suite report's `context`, or a history entry).
+/// Read num_cpus, library_build_type and build_preset from an object
+/// holding them (a suite report's `context`, or a history entry).
 HostShape host_shape_fields(const repro::Json& object) {
   HostShape shape;
   const repro::Json* cpus = object.find("num_cpus");
   if (cpus != nullptr && cpus->is_number()) shape.num_cpus = cpus->as_int64();
   const repro::Json* type = object.find("library_build_type");
   if (type != nullptr && type->is_string()) shape.build_type = type->as_string();
+  const repro::Json* preset = object.find("build_preset");
+  if (preset != nullptr && preset->is_string()) shape.preset = preset->as_string();
   return shape;
 }
 
@@ -190,18 +204,26 @@ std::size_t benchmark_count(const repro::Json& report) {
 }
 
 /// Host shape of a merged BENCH_micro document: its first suite report
-/// that records one.
+/// that records one, with the build preset of its newest history entry
+/// (the run that wrote those reports).
 HostShape host_shape_of_merged(const repro::Json& merged) {
+  HostShape shape;
   const repro::Json* suites = merged.find("suites");
-  if (suites == nullptr || !suites->is_array()) return {};
-  for (const repro::Json& entry : suites->as_array()) {
-    if (!entry.is_object()) continue;
-    const repro::Json* report = entry.find("report");
-    if (report == nullptr) continue;
-    const HostShape shape = host_shape_of(*report);
-    if (shape.known()) return shape;
+  if (suites != nullptr && suites->is_array()) {
+    for (const repro::Json& entry : suites->as_array()) {
+      if (!entry.is_object()) continue;
+      const repro::Json* report = entry.find("report");
+      if (report == nullptr) continue;
+      shape = host_shape_of(*report);
+      if (shape.known()) break;
+    }
   }
-  return {};
+  const repro::Json* history = merged.find("history");
+  if (history != nullptr && history->is_array() && !history->as_array().empty() &&
+      history->as_array().back().is_object()) {
+    shape.preset = host_shape_fields(history->as_array().back()).preset;
+  }
+  return shape;
 }
 
 /// Per-suite headline medians of a merged BENCH_micro document.
@@ -268,6 +290,11 @@ std::string format_history_entry(const std::string& date, const std::string& rev
   if (!shape.build_type.empty()) {
     out += ", \"library_build_type\": \"";
     json_escape(out, shape.build_type);
+    out += "\"";
+  }
+  if (!shape.preset.empty()) {
+    out += ", \"build_preset\": \"";
+    json_escape(out, shape.preset);
     out += "\"";
   }
   out += ", \"headlines\": [";
@@ -341,7 +368,8 @@ std::vector<std::string> prior_history_entries(const std::string& out_path) {
 
 std::string describe(const HostShape& shape) {
   return "num_cpus " + (shape.num_cpus >= 0 ? std::to_string(shape.num_cpus) : "?") +
-         ", library_build_type " + (shape.build_type.empty() ? "?" : shape.build_type);
+         ", library_build_type " + (shape.build_type.empty() ? "?" : shape.build_type) +
+         ", build_preset " + (shape.preset.empty() ? "?" : shape.preset);
 }
 
 /// 3x-envelope regression comparison against a baseline merged document.
@@ -430,6 +458,7 @@ int main(int argc, char** argv) {
 
   std::vector<Headline> headlines;
   HostShape shape;
+  shape.preset = kBuildPreset;
   bool first = true;
   for (const char* suite : kSuites) {
     const std::filesystem::path binary =
@@ -454,7 +483,11 @@ int main(int argc, char** argv) {
       const repro::Json parsed = repro::Json::parse(report);
       headlines.push_back(
           {suite, headline_median_ns(parsed), benchmark_count(parsed)});
-      if (!shape.known()) shape = host_shape_of(parsed);
+      if (shape.num_cpus < 0 && shape.build_type.empty()) {
+        const HostShape reported = host_shape_of(parsed);
+        shape.num_cpus = reported.num_cpus;
+        shape.build_type = reported.build_type;
+      }
     } catch (const std::exception& error) {
       std::cerr << "bench_micro: " << suite
                 << " report failed to parse: " << error.what() << "\n";

@@ -9,9 +9,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <system_error>
 
 #include "common/rng.hpp"
 #include "service/client.hpp"
@@ -148,6 +152,12 @@ void BM_ReplicatedSessionThroughput(benchmark::State& state) {
   client.disconnect();
   primary.stop();
   standby.stop();
+  // Only the two state dirs, then the (then empty) temp dir: fresh_dir()
+  // falls back to /tmp itself when mkdtemp fails.
+  std::error_code ignored;
+  std::filesystem::remove_all(dir + "/standby", ignored);
+  std::filesystem::remove_all(dir + "/primary", ignored);
+  (void)::rmdir(dir.c_str());
 }
 
 /// The router's aggregated status op: one bounded status RPC per shard plus

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <memory>
 
+#include "common/thread_pool.hpp"
+
 namespace repro::imagecl {
 namespace {
 
@@ -14,6 +16,14 @@ constexpr std::size_t kFieldResolution = 1024;
 /// high-frequency structure that warp-footprint-sized windows see real
 /// iteration variance (the divergence model samples it with *nearest*
 /// lookup for the same reason). Immutable after construction.
+///
+/// Init order: the first call renders on the global pool while holding this
+/// static's guard, so a pool worker that blocked on the guard meanwhile
+/// would hold back the render it waits for. Field lambdas, the only callers
+/// that run per sample on workers, cannot exist before the map does:
+/// mandelbrot_intensity_field() calls this (through the mean) before it
+/// builds one, and suite() builds the Mandelbrot spec before handing out any
+/// benchmark. A first call made on a pool worker renders inline.
 const Image<float>& field_map() {
   static const Image<float> map = mandelbrot_reference(kFieldResolution, kFieldResolution);
   return map;
@@ -44,12 +54,13 @@ std::uint32_t mandelbrot_iterations(std::uint64_t x, std::uint64_t y, std::uint6
 Image<float> mandelbrot_reference(std::size_t width, std::size_t height,
                                   std::uint32_t max_iter) {
   Image<float> out(width, height);
-  for (std::size_t y = 0; y < height; ++y) {
+  // Pixels are independent integer counts: rows render in any order.
+  parallel_for(0, height, [&](std::size_t y) {
     for (std::size_t x = 0; x < width; ++x) {
       out.at(x, y) = static_cast<float>(
           mandelbrot_iterations(x, y, width, height, max_iter));
     }
-  }
+  });
   return out;
 }
 

@@ -26,7 +26,7 @@ inline constexpr double kMandelbrotMaxY = 1.25;
                                                   std::uint64_t height,
                                                   std::uint32_t max_iter = kMandelbrotMaxIter);
 
-/// Scalar reference render.
+/// Reference render; rows are spread over the global thread pool.
 [[nodiscard]] Image<float> mandelbrot_reference(std::size_t width, std::size_t height,
                                                 std::uint32_t max_iter = kMandelbrotMaxIter);
 
@@ -37,12 +37,12 @@ void run_mandelbrot(const simgpu::Device& device, const simgpu::KernelConfig& co
                     simgpu::TraceRecorder* trace = nullptr,
                     std::uint32_t max_iter = kMandelbrotMaxIter);
 
-/// Mean escape-iteration count of the viewport (from a cached 256x256
+/// Mean escape-iteration count of the viewport (from a cached 1024x1024
 /// pre-render) — used to size flops_per_element.
 [[nodiscard]] double mandelbrot_mean_iterations();
 
 /// Work-intensity field w(x, y) = iterations at normalized viewport
-/// coordinates / mean iterations, bilinearly interpolated from the cached
+/// coordinates / mean iterations, nearest-pixel lookup into the cached
 /// pre-render. Drives the divergence model.
 [[nodiscard]] simgpu::IntensityField mandelbrot_intensity_field();
 

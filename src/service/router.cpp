@@ -750,9 +750,10 @@ Json Router::route_store(const std::string& op, const Json& request,
   // union).
   if (op == "store_export") return route_store_export(request, downstreams);
   std::uint64_t imported = 0, import_duplicates = 0, records = 0, tenants = 0;
-  bool any_enabled = false;
+  bool any_enabled = false, any_torn_tail = false;
   // Per-shard digest/dir stay in the "shards" breakdown; every additive
-  // counter is summed so a router-pointed client sees cluster totals.
+  // counter is summed and the flags are ORed, so a router-pointed client
+  // sees cluster totals (and a torn tail on any shard).
   static constexpr const char* kStatCounters[] = {
       "appends",     "duplicates",  "rejected",    "evictions",
       "compactions", "io_errors",   "log_records", "log_bytes",
@@ -772,9 +773,12 @@ Json Router::route_store(const std::string& op, const Json& request,
       add(import_duplicates, "duplicates");
       continue;
     }
-    const Json* enabled = reply.find("store_enabled");
-    any_enabled = any_enabled || (enabled != nullptr && enabled->is_bool() &&
-                                  enabled->as_bool());
+    const auto flag = [&reply](const char* key) {
+      const Json* field = reply.find(key);
+      return field != nullptr && field->is_bool() && field->as_bool();
+    };
+    any_enabled = any_enabled || flag("store_enabled");
+    any_torn_tail = any_torn_tail || flag("torn_tail");
     add(records, "records");
     add(tenants, "tenants");
     for (std::size_t i = 0; i < std::size(kStatCounters); ++i)
@@ -788,6 +792,7 @@ Json Router::route_store(const std::string& op, const Json& request,
     response.set("duplicates", import_duplicates);
   } else {
     response.set("store_enabled", any_enabled);
+    response.set("torn_tail", any_torn_tail);
     response.set("records", records);
     response.set("tenants", tenants);
     for (std::size_t i = 0; i < std::size(kStatCounters); ++i)

@@ -74,8 +74,11 @@ struct CoalescingStats {
 /// one step-row must be simulated; (2) a warp's loop-wide footprint in each
 /// touched row is a contiguous byte range, so loop-unique sectors can be
 /// counted per row without a set over every access. Falls back to the exact
-/// routine when the pitch precondition does not hold. Tests assert equality
-/// with the exact routine.
+/// routine when the pitch precondition does not hold. Loop-unique sectors
+/// are counted over the bounding box of the warp's lanes: equal to the
+/// exact routine when the lanes fill whole rows and slices of the
+/// work-group, an over-count when the warp ends in a partial row or slice
+/// (tests assert both, and equality of every other field). Allocation-free.
 [[nodiscard]] CoalescingStats analyze_warp_accesses_fast(const KernelConfig& config,
                                                          const GpuArch& arch,
                                                          const WarpAccessSpec& spec);

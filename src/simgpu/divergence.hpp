@@ -25,12 +25,12 @@ namespace repro::simgpu {
 using IntensityField = std::function<double(double x, double y)>;
 
 /// E[max lane work] / E[mean lane work] for warp 0's lane footprint,
-/// averaged over `placements_per_axis`^2 warp positions. Returns 1.0 when
-/// `field` is empty. Deterministic (no RNG).
+/// averaged over a 6x6 grid of warp positions. Returns 1.0 when `field` is
+/// empty. Deterministic (no RNG) and allocation-free; throws
+/// std::invalid_argument for warps of more than 64 lanes.
 [[nodiscard]] double warp_divergence_factor(const KernelConfig& config,
                                             const GpuArch& arch,
                                             const GridExtent& extent,
-                                            const IntensityField& field,
-                                            unsigned placements_per_axis = 6);
+                                            const IntensityField& field);
 
 }  // namespace repro::simgpu

@@ -18,6 +18,7 @@
 
 #include "service/session_manager.hpp"
 #include "service/session_wal.hpp"
+#include "tests/common/scratch_dir.hpp"
 #include "tests/service/service_test_util.hpp"
 #include "tuner/registry.hpp"
 
@@ -25,14 +26,6 @@ namespace repro::service {
 namespace {
 
 using service_test::synth_eval;
-
-/// Fresh per-test state dir under the build tree's TMPDIR.
-std::string fresh_state_dir() {
-  char templ[] = "/tmp/repro_wal_XXXXXX";
-  const char* dir = ::mkdtemp(templ);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
 
 SessionLimits limits_with(const std::string& state_dir) {
   SessionLimits limits;
@@ -102,7 +95,8 @@ TEST(CrashRecovery, EveryPaperAlgorithmSurvivesAMidSessionCrash) {
     }
 
     for (const std::size_t crash_after : {std::size_t{0}, std::size_t{7}}) {
-      const std::string dir = fresh_state_dir();
+      const test_util::ScratchDir scratch("repro_wal");
+      const std::string dir = scratch.path();
       std::string id;
       {
         SessionManager manager(limits_with(dir));
@@ -143,7 +137,8 @@ TEST(CrashRecovery, RecoveryIsIdempotentAcrossRepeatedCrashes) {
     baseline = drive(manager, id, space, salt, 1, SIZE_MAX).result;
   }
 
-  const std::string dir = fresh_state_dir();
+  const test_util::ScratchDir scratch("repro_wal");
+  const std::string dir = scratch.path();
   std::string id;
   std::uint64_t seq = 1;
   {
@@ -166,7 +161,8 @@ TEST(CrashRecovery, RecoveryIsIdempotentAcrossRepeatedCrashes) {
 TEST(CrashRecovery, TornTailIsDroppedAndTheSessionStillRecovers) {
   const OpenParams params = tiny_open("rs", 16, 3);
   const tuner::ParamSpace space = params.make_space();
-  const std::string dir = fresh_state_dir();
+  const test_util::ScratchDir scratch("repro_wal");
+  const std::string dir = scratch.path();
   std::string id;
   {
     SessionManager manager(limits_with(dir));
@@ -189,7 +185,8 @@ TEST(CrashRecovery, TornTailIsDroppedAndTheSessionStillRecovers) {
 }
 
 TEST(CrashRecovery, MalformedInteriorRecordLosesOnlyThatSession) {
-  const std::string dir = fresh_state_dir();
+  const test_util::ScratchDir scratch("repro_wal");
+  const std::string dir = scratch.path();
   std::string broken_id;
   std::string healthy_id;
   const OpenParams params = tiny_open("rs", 12, 1);
@@ -226,7 +223,8 @@ TEST(CrashRecovery, MalformedInteriorRecordLosesOnlyThatSession) {
 TEST(CrashRecovery, CloseRecordWithoutUnlinkIsDiscardedOnRecovery) {
   // A crash landing between append_close() and unlink() leaves a journal
   // with a clean terminal record; recovery finishes the unlink.
-  const std::string dir = fresh_state_dir();
+  const test_util::ScratchDir scratch("repro_wal");
+  const std::string dir = scratch.path();
   const OpenParams params = tiny_open("rs", 8, 2);
   const std::string path = wal_path(dir, "s1");
   {
@@ -242,7 +240,8 @@ TEST(CrashRecovery, CloseRecordWithoutUnlinkIsDiscardedOnRecovery) {
 }
 
 TEST(CrashRecovery, EvictionRecordBecomesATombstoneAcrossRestart) {
-  const std::string dir = fresh_state_dir();
+  const test_util::ScratchDir scratch("repro_wal");
+  const std::string dir = scratch.path();
   const OpenParams params = tiny_open("rs", 8, 2);
   const std::string path = wal_path(dir, "s1");
   {
@@ -272,7 +271,8 @@ TEST(CrashRecovery, EvictionRecordBecomesATombstoneAcrossRestart) {
 TEST(CrashRecovery, DuplicateTellSeqIsAcknowledgedNotReapplied) {
   const OpenParams params = tiny_open("rs", 10, 4);
   const tuner::ParamSpace space = params.make_space();
-  SessionManager manager(limits_with(fresh_state_dir()));
+  const test_util::ScratchDir scratch("repro_wal");
+  SessionManager manager(limits_with(scratch.path()));
   const std::string id = manager.open(params);
 
   const std::optional<tuner::Configuration> config = manager.ask(id);
@@ -298,7 +298,8 @@ TEST(CrashRecovery, OpenTokenDedupesAgainstRecoveredSessions) {
   // A client that opened with a token, lost the response, and found the
   // daemon restarted must get its recovered session back — not a twin.
   const OpenParams params = tiny_open("rs", 10, 8);
-  const std::string dir = fresh_state_dir();
+  const test_util::ScratchDir scratch("repro_wal");
+  const std::string dir = scratch.path();
   std::string id;
   {
     SessionManager manager(limits_with(dir));

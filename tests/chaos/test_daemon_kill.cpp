@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "service/client.hpp"
+#include "tests/common/scratch_dir.hpp"
 #include "tests/service/service_test_util.hpp"
 #include "tuner/registry.hpp"
 
@@ -37,13 +38,6 @@ namespace repro::service {
 namespace {
 
 using service_test::synth_eval;
-
-std::string fresh_dir() {
-  char templ[] = "/tmp/repro_chaos_XXXXXX";
-  const char* dir = ::mkdtemp(templ);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
@@ -149,7 +143,8 @@ TEST(DaemonKill, Sigkill9MidSessionRecoversByteIdenticalForEveryAlgorithm) {
   const tuner::ParamSpace space =
       tiny_open("rs", 1, 1).make_space();  // shared by all cells
   for (const std::string& algorithm : tuner::paper_algorithms()) {
-    const std::string dir = fresh_dir();
+    const test_util::ScratchDir scratch("repro_chaos");
+    const std::string dir = scratch.path();
     const OpenParams params = tiny_open(algorithm, 16, 42);
     auto daemon = std::make_unique<Daemon>(dir, 0, dir + "/tuned1.log");
     const std::uint16_t port = daemon->port;
@@ -190,7 +185,8 @@ TEST(DaemonKill, Sigkill9MidSessionRecoversByteIdenticalForEveryAlgorithm) {
 }
 
 TEST(DaemonKill, CampaignKilledAtEveryCellBoundaryRecoversTheSameCsv) {
-  const std::string dir = fresh_dir();
+  const test_util::ScratchDir scratch("repro_chaos");
+  const std::string dir = scratch.path();
   const std::vector<std::string> common = {
       REPRO_TUNE_CLIENT_BIN, "--benchmark", "mandelbrot", "--arch", "rtxtitan",
       "--budget",            "12",          "--seed",     "2022",   "--retries",

@@ -17,7 +17,6 @@
 namespace repro::service {
 namespace {
 
-using cluster_test::fresh_dir;
 using cluster_test::read_file;
 using cluster_test::resilient_config;
 using cluster_test::same_result;
@@ -25,7 +24,8 @@ using cluster_test::tiny_open;
 using service_test::synth_eval;
 
 struct ReplicatedPair {
-  std::string dir = fresh_dir();
+  const test_util::ScratchDir scratch{"repro_cluster"};
+  std::string dir = scratch.path();
   std::unique_ptr<TuneServer> standby;
   std::unique_ptr<TuneServer> primary;
 

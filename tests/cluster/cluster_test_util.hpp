@@ -1,7 +1,8 @@
 #pragma once
 // Shared fixtures for the cluster suite: spawning real `tuned` / `tunelb`
-// child processes (with ready-line port scraping), fresh state dirs, and
-// the byte-identity comparator the failover tests are built around.
+// child processes (with ready-line port scraping), self-removing state dirs
+// (tests/common/scratch_dir.hpp), and the byte-identity comparator the
+// failover tests are built around.
 //
 // Process helpers live here (not in service_test_util.hpp) because only
 // the cluster and chaos suites are allowed to fork — the service suite
@@ -26,16 +27,10 @@
 
 #include "service/client.hpp"
 #include "service/protocol.hpp"
+#include "tests/common/scratch_dir.hpp"
 #include "tests/service/service_test_util.hpp"
 
 namespace repro::cluster_test {
-
-inline std::string fresh_dir() {
-  char templ[] = "/tmp/repro_cluster_XXXXXX";
-  const char* dir = ::mkdtemp(templ);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
 
 inline std::string read_file(const std::string& path) {
   std::ifstream in(path);

@@ -29,7 +29,6 @@ namespace repro::service {
 namespace {
 
 using cluster_test::Proc;
-using cluster_test::fresh_dir;
 using cluster_test::read_file;
 using cluster_test::resilient_config;
 using cluster_test::run;
@@ -65,7 +64,8 @@ bool wait_for_health(std::uint16_t router_port, std::size_t index,
 // the campaign CSV must still come out byte-identical — acknowledged
 // tells survive the murder of the process that acknowledged them.
 TEST(ClusterChaos, FullRemoteStudyByteIdenticalAcrossMidCampaignShardKill) {
-  const std::string dir = fresh_dir();
+  const test_util::ScratchDir scratch("repro_cluster");
+  const std::string dir = scratch.path();
   const std::vector<std::string> study = {
       REPRO_TUNE_CLIENT_BIN, "--benchmark", "mandelbrot", "--arch", "rtxtitan",
       "--budget",            "12",          "--seed",     "2022",   "--retries",
@@ -147,7 +147,8 @@ TEST(ClusterChaos, FullRemoteStudyByteIdenticalAcrossMidCampaignShardKill) {
 }
 
 TEST(ClusterChaos, SlowShardIsProbedDownAndRecoversOnResume) {
-  const std::string dir = fresh_dir();
+  const test_util::ScratchDir scratch("repro_cluster");
+  const std::string dir = scratch.path();
   Proc shard0({REPRO_TUNED_BIN, "--port", "0"}, dir + "/shard0.log");
   Proc shard1({REPRO_TUNED_BIN, "--port", "0"}, dir + "/shard1.log");
   ASSERT_NE(shard0.port, 0);
@@ -180,7 +181,8 @@ TEST(ClusterChaos, SlowShardIsProbedDownAndRecoversOnResume) {
 }
 
 TEST(ClusterChaos, EndpointListRidesOverADeadFirstEndpoint) {
-  const std::string dir = fresh_dir();
+  const test_util::ScratchDir scratch("repro_cluster");
+  const std::string dir = scratch.path();
   Proc daemon({REPRO_TUNED_BIN, "--port", "0"}, dir + "/tuned.log");
   ASSERT_NE(daemon.port, 0);
   // Port 1 is dead; the deterministic walk must settle on the live daemon.

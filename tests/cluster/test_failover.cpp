@@ -18,7 +18,6 @@
 namespace repro::service {
 namespace {
 
-using cluster_test::fresh_dir;
 using cluster_test::resilient_config;
 using cluster_test::same_result;
 using cluster_test::tiny_open;
@@ -26,7 +25,8 @@ using service_test::synth_eval;
 
 /// Primary (WAL + shipping) and standby pair over fresh state dirs.
 struct ReplicatedPair {
-  std::string dir = fresh_dir();
+  const test_util::ScratchDir scratch{"repro_cluster"};
+  std::string dir = scratch.path();
   std::unique_ptr<TuneServer> standby;
   std::unique_ptr<TuneServer> primary;
 

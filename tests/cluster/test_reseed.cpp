@@ -22,7 +22,6 @@ namespace repro::service {
 namespace {
 
 using cluster_test::Proc;
-using cluster_test::fresh_dir;
 using cluster_test::resilient_config;
 using cluster_test::same_result;
 using cluster_test::tiny_open;
@@ -40,7 +39,8 @@ std::unique_ptr<TuneServer> start_standby(const std::string& state_dir,
 }
 
 TEST(Reseed, DoublePromoteRaceFlipsTheRoleExactlyOnce) {
-  const std::string dir = fresh_dir();
+  const test_util::ScratchDir scratch("repro_cluster");
+  const std::string dir = scratch.path();
   std::unique_ptr<TuneServer> standby = start_standby(dir + "/standby");
   // Two racing promotes (e.g. two routers both declaring the primary dead):
   // exactly one flips the role; the loser is a typed no-op, not an error.
@@ -79,7 +79,8 @@ TEST(Reseed, ProberAttachesASpareAndTheShardSurvivesASecondCrash) {
       [&space](const tuner::Configuration& c) { return synth_eval(space, c, 13); });
   plain.stop();
 
-  const std::string dir = fresh_dir();
+  const test_util::ScratchDir scratch("repro_cluster");
+  const std::string dir = scratch.path();
   std::unique_ptr<TuneServer> standby = start_standby(dir + "/standby");
   std::unique_ptr<TuneServer> spare = start_standby(dir + "/spare");
   ServerConfig primary_config;
@@ -147,7 +148,8 @@ TEST(Reseed, ProberAttachesASpareAndTheShardSurvivesASecondCrash) {
 }
 
 TEST(Reseed, DeposedPrimaryAutoDemotesAndIsReseededByTheNewPrimary) {
-  const std::string dir = fresh_dir();
+  const test_util::ScratchDir scratch("repro_cluster");
+  const std::string dir = scratch.path();
   std::unique_ptr<TuneServer> standby = start_standby(dir + "/standby");
   ServerConfig primary_config;
   primary_config.limits.state_dir = dir + "/primary";
@@ -209,7 +211,8 @@ TEST(Reseed, DeposedPrimaryAutoDemotesAndIsReseededByTheNewPrimary) {
 }
 
 TEST(Reseed, ResyncResumesFromWatermarksWhenTheFollowerCrashesAndReturns) {
-  const std::string dir = fresh_dir();
+  const test_util::ScratchDir scratch("repro_cluster");
+  const std::string dir = scratch.path();
   std::unique_ptr<TuneServer> follower = start_standby(dir + "/follower");
   ServerConfig primary_config;
   primary_config.limits.state_dir = dir + "/primary";
@@ -267,7 +270,8 @@ TEST(Reseed, SigkillDoubleFaultThroughTheRouterIsByteIdentical) {
       [&space](const tuner::Configuration& c) { return synth_eval(space, c, 21); });
   plain.stop();
 
-  const std::string dir = fresh_dir();
+  const test_util::ScratchDir scratch("repro_cluster");
+  const std::string dir = scratch.path();
   Proc standby({REPRO_TUNED_BIN, "--standby", "--state-dir", dir + "/b"},
                dir + "/b.log");
   ASSERT_NE(standby.port, 0);

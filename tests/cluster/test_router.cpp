@@ -4,19 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
 #include <set>
 #include <string>
 
 #include "service/router.hpp"
 #include "service/server.hpp"
+#include "store/results_store.hpp"
 #include "tests/cluster/cluster_test_util.hpp"
 #include "tuner/registry.hpp"
 
 namespace repro::service {
 namespace {
 
-using cluster_test::fresh_dir;
 using cluster_test::resilient_config;
 using cluster_test::same_result;
 using cluster_test::tiny_open;
@@ -142,11 +143,12 @@ TEST(Router, StoreExportPagesAcrossShardsWithACompositeCursor) {
   // Store-configured shards, each holding a distinct tenant: the router's
   // "<shard>|<cursor>" paging must resume mid-shard, cross the shard
   // boundary, and stitch back to the full union.
+  const test_util::ScratchDir scratch{"repro_cluster"};
   ServerConfig config0;
-  config0.store_dir = fresh_dir() + "/s0-store";
+  config0.store_dir = scratch.path() + "/s0-store";
   TuneServer shard0(config0);
   ServerConfig config1;
-  config1.store_dir = fresh_dir() + "/s1-store";
+  config1.store_dir = scratch.path() + "/s1-store";
   TuneServer shard1(config1);
   shard0.start();
   shard1.start();
@@ -196,6 +198,53 @@ TEST(Router, StoreExportPagesAcrossShardsWithACompositeCursor) {
 
   // Re-importing the paged union into one shard dedups to the same rows.
   EXPECT_EQ(shard0.store()->import_tenants(all), 5u);
+  router.stop();
+}
+
+TEST(Router, StoreStatsReportsATornTailOnAnyShard) {
+  // Shard 0's store log ends in a torn append (a crash mid-write), shard 1's
+  // is clean: the router ORs the flag, so one torn shard marks the cluster
+  // reply, and the per-shard rows say which shard it was.
+  const test_util::ScratchDir scratch{"repro_cluster"};
+  const std::string torn_dir = scratch.path() + "/s0-store";
+  {
+    store::StoreOptions options;
+    options.dir = torn_dir;
+    store::ResultsStore store(options);
+    store.load();
+    ASSERT_TRUE(store.append({"conv", "arch0", "ffffffffffffffff"}, {1, 1}, 10.0, true));
+  }
+  {
+    std::ofstream out(torn_dir + "/results.log", std::ios::app | std::ios::binary);
+    out << R"({"b":"conv","a":"arch0","s":"ffff)";
+  }
+  ServerConfig config0;
+  config0.store_dir = torn_dir;
+  TuneServer shard0(config0);
+  ServerConfig config1;
+  config1.store_dir = scratch.path() + "/s1-store";
+  TuneServer shard1(config1);
+  shard0.start();
+  shard1.start();
+  RouterConfig config;
+  config.shards = {{"127.0.0.1", shard0.port(), "127.0.0.1", 0},
+                   {"127.0.0.1", shard1.port(), "127.0.0.1", 0}};
+  config.probe_interval = std::chrono::milliseconds(0);
+  config.probe_timeout = std::chrono::milliseconds(500);
+  Router router(config);
+  router.start();
+
+  Client client(resilient_config(router.port()));
+  const Json stats = client.store_stats();
+  const Json* torn = stats.find("torn_tail");
+  ASSERT_NE(torn, nullptr) << "the router dropped the shards' torn_tail flag";
+  EXPECT_TRUE(torn->as_bool());
+  EXPECT_EQ(stats.find("records")->as_uint64(), 1u);
+  const Json* shards = stats.find("shards");
+  ASSERT_TRUE(shards != nullptr && shards->is_array());
+  ASSERT_EQ(shards->as_array().size(), 2u);
+  EXPECT_TRUE(shards->as_array()[0].find("torn_tail")->as_bool());
+  EXPECT_FALSE(shards->as_array()[1].find("torn_tail")->as_bool());
   router.stop();
 }
 

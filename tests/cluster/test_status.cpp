@@ -27,7 +27,6 @@
 namespace repro::service {
 namespace {
 
-using cluster_test::fresh_dir;
 using cluster_test::tiny_open;
 using service_test::synth_eval;
 
@@ -114,7 +113,8 @@ TEST(StatusSchema, TunedAndTunelbRepliesKeepTheGoldenSchema) {
   // Every optional block switched on: WAL (recovery), results store,
   // shipping to a hot standby (ship, ship_target), tenant quotas (one
   // named tenant row) and a live session (one sessions row).
-  const std::string dir = fresh_dir();
+  const test_util::ScratchDir scratch("repro_cluster");
+  const std::string dir = scratch.path();
   ServerConfig standby_config;
   standby_config.standby = true;
   standby_config.limits.state_dir = dir + "/standby";

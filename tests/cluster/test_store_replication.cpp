@@ -16,7 +16,6 @@
 namespace repro::service {
 namespace {
 
-using cluster_test::fresh_dir;
 using cluster_test::resilient_config;
 using cluster_test::same_result;
 using cluster_test::tiny_open;
@@ -35,7 +34,8 @@ OpenParams tenant_open(const std::string& algorithm, std::size_t budget,
 
 /// ReplicatedPair with a results store on both sides.
 struct StoredPair {
-  std::string dir = fresh_dir();
+  const test_util::ScratchDir scratch{"repro_cluster"};
+  std::string dir = scratch.path();
   std::unique_ptr<TuneServer> standby;
   std::unique_ptr<TuneServer> primary;
 
@@ -86,8 +86,9 @@ TEST(StoreReplication, ImportedSeedBatchesReachTheStandbyStore) {
   // like live tells do, so a later failover keeps the seed rows too.
   std::vector<store::TenantSnapshot> seed;
   {
+    const test_util::ScratchDir scratch{"repro_cluster"};
     ServerConfig config;
-    config.store_dir = fresh_dir() + "/seed-store";
+    config.store_dir = scratch.path() + "/seed-store";
     TuneServer server(config);
     server.start();
     const OpenParams params = tenant_open("rs", 10, 5);
@@ -134,8 +135,9 @@ TEST(StoreReplication, PromotedStandbyWarmStartsIdenticallyToItsPrimary) {
   const OpenParams warm = tenant_open("botpe", 16, 9, /*warm=*/true);
   tuner::TuneResult control;
   {
+    const test_util::ScratchDir scratch{"repro_cluster"};
     ServerConfig config;
-    config.store_dir = fresh_dir() + "/control-store";
+    config.store_dir = scratch.path() + "/control-store";
     TuneServer server(config);
     server.start();
     Client control_client(resilient_config(server.port()));

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "imagecl/kernels/add.hpp"
 #include "imagecl/kernels/harris.hpp"
 #include "imagecl/kernels/mandelbrot.hpp"
+#include "tests/simgpu/model_reference.hpp"
 
 namespace repro::imagecl {
 namespace {
@@ -127,6 +130,58 @@ TEST(MandelbrotKernel, MeanIterationsIsPlausible) {
   const double mean = mandelbrot_mean_iterations();
   EXPECT_GT(mean, 10.0);
   EXPECT_LT(mean, 200.0);
+}
+
+/// Pixels of `actual` that differ bitwise from `expected`.
+std::size_t mismatched_pixels(const Image<float>& expected, const Image<float>& actual) {
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    if (std::memcmp(&expected.data()[i], &actual.data()[i], sizeof(float)) != 0) ++mismatches;
+  }
+  return mismatches;
+}
+
+TEST(MandelbrotKernel, ParallelRenderMatchesSerialReference) {
+  // Non-square, so a transposed row/column mapping would show.
+  const Image<float> expected = reference::mandelbrot_render(320, 200);
+  const Image<float> from_main = mandelbrot_reference(320, 200);
+  ASSERT_EQ(from_main.width(), 320u);
+  ASSERT_EQ(from_main.height(), 200u);
+  EXPECT_EQ(mismatched_pixels(expected, from_main), 0u);
+
+  // From inside a pool worker, parallel_for runs the rows inline.
+  const Image<float> from_worker = ThreadPool::global()
+                                       .submit([] {
+                                         EXPECT_TRUE(ThreadPool::global().on_worker_thread());
+                                         return mandelbrot_reference(320, 200);
+                                       })
+                                       .get();
+  ASSERT_EQ(from_worker.size(), expected.size());
+  EXPECT_EQ(mismatched_pixels(expected, from_worker), 0u);
+}
+
+TEST(MandelbrotKernel, IntensityFieldMatchesSerialRender) {
+  // The cached 1024^2 field the divergence model samples, pixel centre by
+  // pixel centre, against a serial render normalized the same way.
+  constexpr std::size_t kResolution = 1024;
+  const Image<float> serial = reference::mandelbrot_render(kResolution, kResolution);
+  double sum = 0.0;
+  for (float v : serial.data()) sum += v;
+  const double mean = sum / static_cast<double>(serial.size());
+  const double cached_mean = mandelbrot_mean_iterations();
+  EXPECT_EQ(std::memcmp(&mean, &cached_mean, sizeof(double)), 0);
+
+  const auto field = mandelbrot_intensity_field();
+  std::size_t mismatches = 0;
+  for (std::size_t y = 0; y < kResolution; ++y) {
+    for (std::size_t x = 0; x < kResolution; ++x) {
+      const double got = field((static_cast<double>(x) + 0.5) / kResolution,
+                               (static_cast<double>(y) + 0.5) / kResolution);
+      const double want = serial.at(x, y) / mean;
+      if (std::memcmp(&got, &want, sizeof(double)) != 0) ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(MandelbrotKernel, IntensityFieldNormalizedAroundOne) {

@@ -18,16 +18,10 @@
 
 #include "common/rng.hpp"
 #include "store/results_store.hpp"
+#include "tests/common/scratch_dir.hpp"
 
 namespace repro::store {
 namespace {
-
-std::string fresh_dir() {
-  char templ[] = "/tmp/repro_store_race_XXXXXX";
-  const char* dir = ::mkdtemp(templ);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
 
 StoreKey key_for(int tenant) {
   return StoreKey{"bench" + std::to_string(tenant), "arch",
@@ -106,7 +100,8 @@ TEST(RaceStore, ConcurrentPersistentAppendsReplayToTheSameDigest) {
   // Whatever interleaving the writers produce, the log must record it in
   // exactly the order the index applied it: a reload replays the log and
   // must land on the identical digest.
-  const std::string dir = fresh_dir();
+  const test_util::ScratchDir scratch("repro_store_race");
+  const std::string dir = scratch.path();
   StoreOptions options;
   options.dir = dir;
   options.fsync_appends = false;  // keep the storm fast; ordering is the point
@@ -136,7 +131,8 @@ TEST(RaceStore, ConcurrentPersistentAppendsReplayToTheSameDigest) {
 }
 
 TEST(RaceStore, ConcurrentAppendsUnderCapacityPressureStayBounded) {
-  const std::string dir = fresh_dir();
+  const test_util::ScratchDir scratch("repro_store_race");
+  const std::string dir = scratch.path();
   StoreOptions options;
   options.dir = dir;
   options.capacity = 64;

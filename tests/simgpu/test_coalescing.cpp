@@ -4,8 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "imagecl/benchmark_suite.hpp"
 #include "simgpu/arch.hpp"
 #include "simgpu/coalescing.hpp"
+#include "simgpu/perf_model.hpp"
+#include "tests/simgpu/model_reference.hpp"
 
 namespace repro::simgpu {
 namespace {
@@ -127,6 +135,88 @@ INSTANTIATE_TEST_SUITE_P(
                       FastPathCase{{16, 1, 1, 1, 1, 1}, 0},
                       FastPathCase{{7, 5, 1, 3, 3, 3}, 1},
                       FastPathCase{{2, 2, 2, 4, 2, 4}, 0}));
+
+/// Calls fn(label, config, arch, spec) for every load and store pattern of
+/// every extended-suite kernel pass, on every testbed arch, for a seeded
+/// sample of in-range configs clamped to the pass's extent the way
+/// PerfModel::evaluate clamps them.
+template <typename Fn>
+void for_each_suite_case(Fn&& fn) {
+  Rng rng(20261020);
+  for (const auto& benchmark : imagecl::extended_suite()) {
+    for (const PerfModel& pass : benchmark->passes()) {
+      std::vector<const WarpAccessSpec*> patterns;
+      for (const WarpAccessSpec& spec : pass.spec().loads) patterns.push_back(&spec);
+      for (const WarpAccessSpec& spec : pass.spec().stores) patterns.push_back(&spec);
+      for (const GpuArch& arch : testbed()) {
+        for (int sample = 0; sample < 24; ++sample) {
+          const KernelConfig config = pass.effective_config(
+              CachedPerfModel::unpack(rng.next_below(CachedPerfModel::table_size())));
+          const std::string label =
+              benchmark->name() + " on " + arch.name + ", " + config.to_string();
+          for (const WarpAccessSpec* spec : patterns) fn(label, config, arch, *spec);
+        }
+      }
+    }
+  }
+}
+
+/// True when warp 0's lanes fill a whole (x, y, z) box of the work-group,
+/// i.e. the warp does not end in a partial row or slice.
+bool lanes_fill_a_box(const KernelConfig& config, const GpuArch& arch) {
+  const std::uint32_t lanes = std::min<std::uint32_t>(config.wg_threads(), arch.warp_size);
+  std::uint32_t max_lx = 0, max_ly = 0, max_lz = 0;
+  for (std::uint32_t lane = 0; lane < lanes; ++lane) {
+    const auto [lx, ly, lz] = lane_coords(lane, config);
+    max_lx = std::max(max_lx, lx);
+    max_ly = std::max(max_ly, ly);
+    max_lz = std::max(max_lz, lz);
+  }
+  return lanes == (max_lx + 1) * (max_ly + 1) * (max_lz + 1);
+}
+
+/// The property over what the model actually feeds the analysis. Where the
+/// warp ends in a partial row or slice, the fast path counts DRAM sectors
+/// over the lanes' bounding box, so there it may only over-count; every
+/// other field stays exact.
+TEST(CoalescingFastPathSampled, MatchesExactForEverySuiteSpec) {
+  std::size_t boxes = 0;
+  std::size_t partial = 0;
+  for_each_suite_case([&](const std::string& label, const KernelConfig& config,
+                          const GpuArch& arch, const WarpAccessSpec& spec) {
+    SCOPED_TRACE(label);
+    const auto exact = analyze_warp_accesses(config, arch, spec);
+    const auto fast = analyze_warp_accesses_fast(config, arch, spec);
+    EXPECT_EQ(exact.useful_bytes, fast.useful_bytes);
+    EXPECT_EQ(exact.transactions, fast.transactions);
+    EXPECT_EQ(exact.steps, fast.steps);
+    if (lanes_fill_a_box(config, arch)) {
+      ++boxes;
+      EXPECT_EQ(exact.dram_sectors, fast.dram_sectors);
+    } else {
+      ++partial;
+      EXPECT_GE(fast.dram_sectors, exact.dram_sectors);
+    }
+  });
+  EXPECT_GT(boxes, 0u);
+  EXPECT_GT(partial, 0u);
+}
+
+/// The stack-buffer fast path against the container-based copy it replaced
+/// (tests/simgpu/model_reference.hpp): every field, every sampled case,
+/// partial warps included.
+TEST(CoalescingFastPathSampled, MatchesReferenceCopyForEverySuiteSpec) {
+  for_each_suite_case([](const std::string& label, const KernelConfig& config,
+                         const GpuArch& arch, const WarpAccessSpec& spec) {
+    SCOPED_TRACE(label);
+    const auto expected = reference::analyze_warp_accesses_fast(config, arch, spec);
+    const auto fast = analyze_warp_accesses_fast(config, arch, spec);
+    EXPECT_EQ(expected.useful_bytes, fast.useful_bytes);
+    EXPECT_EQ(expected.transactions, fast.transactions);
+    EXPECT_EQ(expected.dram_sectors, fast.dram_sectors);
+    EXPECT_EQ(expected.steps, fast.steps);
+  });
+}
 
 TEST(Coalescing, FastPathFallsBackOnUnalignedPitch) {
   const GpuArch arch = titan_v();

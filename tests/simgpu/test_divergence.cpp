@@ -3,8 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "imagecl/kernels/mandelbrot.hpp"
 #include "simgpu/arch.hpp"
 #include "simgpu/divergence.hpp"
+#include "simgpu/perf_model.hpp"
+#include "tests/simgpu/model_reference.hpp"
 
 namespace repro::simgpu {
 namespace {
@@ -64,6 +73,35 @@ TEST(Divergence, CoarseningSmoothsSharpFields) {
   const double coarse =
       warp_divergence_factor({8, 1, 1, 8, 4, 1}, titan_v(), kExtent, field);
   EXPECT_LT(coarse, fine);
+}
+
+/// Bit-identity with the reference loop (tests/simgpu/model_reference.hpp)
+/// over a seeded sample of in-range configs: the Mandelbrot field the model
+/// runs on, plus analytic fields with smooth, sharp and negative regions, on
+/// extents where the sample coordinates do and do not hit the clamp.
+TEST(Divergence, MatchesReferenceLoopBitForBit) {
+  const std::vector<std::pair<const char*, IntensityField>> fields = {
+      {"mandelbrot", imagecl::mandelbrot_intensity_field()},
+      {"bilinear", [](double x, double y) { return x * y + 0.1; }},
+      {"checkerboard",
+       [](double x, double) { return (static_cast<int>(x * 4096.0) % 2 == 0) ? 10.0 : 1.0; }},
+      {"signed", [](double x, double y) { return std::sin(40.0 * x) * std::cos(25.0 * y); }},
+  };
+  const GridExtent extents[] = {kExtent, {8192, 8192, 1}, {1000, 37, 1}};
+  Rng rng(20261020);
+  for (int sample = 0; sample < 150; ++sample) {
+    const KernelConfig config =
+        CachedPerfModel::unpack(rng.next_below(CachedPerfModel::table_size()));
+    const GridExtent& extent = extents[sample % 3];
+    for (const auto& [name, field] : fields) {
+      const double production = warp_divergence_factor(config, titan_v(), extent, field);
+      const double expected =
+          reference::warp_divergence_factor(config, titan_v(), extent, field);
+      EXPECT_EQ(std::memcmp(&production, &expected, sizeof(double)), 0)
+          << name << " field, " << config.to_string() << ": " << production << " vs "
+          << expected;
+    }
+  }
 }
 
 }  // namespace

@@ -16,16 +16,10 @@
 #include <vector>
 
 #include "store/results_store.hpp"
+#include "tests/common/scratch_dir.hpp"
 
 namespace repro::store {
 namespace {
-
-std::string fresh_dir() {
-  char templ[] = "/tmp/repro_store_XXXXXX";
-  const char* dir = ::mkdtemp(templ);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
 
 StoreKey key_a() { return StoreKey{"mandelbrot", "rtxtitan", "aaaaaaaaaaaaaaaa"}; }
 StoreKey key_b() { return StoreKey{"sobel", "gtx980", "bbbbbbbbbbbbbbbb"}; }
@@ -98,7 +92,8 @@ TEST(ResultsStore, DimensionMismatchThrowsTypedError) {
 }
 
 TEST(ResultsStore, PersistedStoreReloadsByteIdentical) {
-  const std::string dir = fresh_dir();
+  const test_util::ScratchDir scratch("repro_store");
+  const std::string dir = scratch.path();
   std::uint64_t live_digest = 0;
   {
     StoreOptions options;
@@ -132,7 +127,8 @@ TEST(ResultsStore, LoadTwiceThrows) {
 }
 
 TEST(ResultsStore, TornFinalLineIsDroppedAndTruncatedAway) {
-  const std::string dir = fresh_dir();
+  const test_util::ScratchDir scratch("repro_store");
+  const std::string dir = scratch.path();
   {
     StoreOptions options;
     options.dir = dir;
@@ -169,7 +165,8 @@ TEST(ResultsStore, TornFinalLineIsDroppedAndTruncatedAway) {
 }
 
 TEST(ResultsStore, MalformedInteriorRecordIsAHardError) {
-  const std::string dir = fresh_dir();
+  const test_util::ScratchDir scratch("repro_store");
+  const std::string dir = scratch.path();
   {
     StoreOptions options;
     options.dir = dir;
@@ -195,7 +192,8 @@ TEST(ResultsStore, MalformedInteriorRecordIsAHardError) {
 }
 
 TEST(ResultsStore, CapacityEvictsOldestFirstAndReplaysIdentically) {
-  const std::string dir = fresh_dir();
+  const test_util::ScratchDir scratch("repro_store");
+  const std::string dir = scratch.path();
   StoreOptions options;
   options.dir = dir;
   options.capacity = 4;
@@ -223,7 +221,8 @@ TEST(ResultsStore, CapacityEvictsOldestFirstAndReplaysIdentically) {
 }
 
 TEST(ResultsStore, CompactionDropsDeadLinesAndPreservesDigest) {
-  const std::string dir = fresh_dir();
+  const test_util::ScratchDir scratch("repro_store");
+  const std::string dir = scratch.path();
   StoreOptions options;
   options.dir = dir;
   options.capacity = 3;
@@ -251,7 +250,8 @@ TEST(ResultsStore, CompactionDropsDeadLinesAndPreservesDigest) {
 }
 
 TEST(ResultsStore, AutoCompactionTriggersPastTheSlack) {
-  const std::string dir = fresh_dir();
+  const test_util::ScratchDir scratch("repro_store");
+  const std::string dir = scratch.path();
   StoreOptions options;
   options.dir = dir;
   options.capacity = 2;
@@ -358,7 +358,8 @@ TEST(ResultsStore, ImportRoundTripsAndDeduplicates) {
 }
 
 TEST(ResultsStore, DuplicateAppendWritesNothingToTheLog) {
-  const std::string dir = fresh_dir();
+  const test_util::ScratchDir scratch("repro_store");
+  const std::string dir = scratch.path();
   StoreOptions options;
   options.dir = dir;
   ResultsStore store(options);

@@ -19,16 +19,10 @@
 #include <vector>
 
 #include "store/results_store.hpp"
+#include "tests/common/scratch_dir.hpp"
 
 namespace repro::store {
 namespace {
-
-std::string fresh_dir() {
-  char templ[] = "/tmp/repro_store_crash_XXXXXX";
-  const char* dir = ::mkdtemp(templ);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
 
 StoreKey crash_key() { return StoreKey{"crash", "drill", "cccccccccccccccc"}; }
 
@@ -51,7 +45,8 @@ StoreKey crash_key() { return StoreKey{"crash", "drill", "cccccccccccccccc"}; }
 }
 
 TEST(StoreCrash, Sigkill9MidAppendLosesNoAcknowledgedRecord) {
-  const std::string dir = fresh_dir();
+  const test_util::ScratchDir scratch("repro_store_crash");
+  const std::string dir = scratch.path();
   // (round, highest acked id) pairs accumulated across kill/reload rounds.
   std::vector<std::pair<int, std::uint32_t>> acked;
   for (int round = 0; round < 4; ++round) {
@@ -104,7 +99,8 @@ TEST(StoreCrash, Sigkill9MidAppendLosesNoAcknowledgedRecord) {
 }
 
 TEST(StoreCrash, RecoveredStoreKeepsAcceptingAppendsAfterEveryKill) {
-  const std::string dir = fresh_dir();
+  const test_util::ScratchDir scratch("repro_store_crash");
+  const std::string dir = scratch.path();
   int pipe_fds[2];
   ASSERT_EQ(::pipe(pipe_fds), 0);
   const pid_t pid = ::fork();

@@ -15,6 +15,7 @@
 #include "service/server.hpp"
 #include "store/fingerprint.hpp"
 #include "store/results_store.hpp"
+#include "tests/common/scratch_dir.hpp"
 #include "tests/service/service_test_util.hpp"
 #include "tuner/registry.hpp"
 
@@ -25,13 +26,6 @@ using service_test::client_config;
 using service_test::synth_eval;
 
 constexpr std::uint64_t kSalt = 55;
-
-std::string fresh_dir() {
-  char templ[] = "/tmp/repro_store_svc_XXXXXX";
-  const char* dir = ::mkdtemp(templ);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
 
 /// Tenant-identified open over the tiny custom space.
 OpenParams tenant_open(const std::string& algorithm, std::size_t budget,
@@ -72,7 +66,8 @@ bool same_result(const tuner::TuneResult& a, const tuner::TuneResult& b) {
 }
 
 TEST(StoreService, AcknowledgedTellsLandInTheStore) {
-  TuneServer server(store_config(fresh_dir()));
+  const test_util::ScratchDir server_dir("repro_store_svc");
+  TuneServer server(store_config(server_dir.path()));
   server.start();
   ASSERT_NE(server.store(), nullptr);
   Client client(client_config(server.port()));
@@ -101,7 +96,8 @@ TEST(StoreService, AcknowledgedTellsLandInTheStore) {
 }
 
 TEST(StoreService, AnonymousSessionsStayOutOfTheStore) {
-  TuneServer server(store_config(fresh_dir()));
+  const test_util::ScratchDir server_dir("repro_store_svc");
+  TuneServer server(store_config(server_dir.path()));
   server.start();
   Client client(client_config(server.port()));
   client.connect();
@@ -114,13 +110,15 @@ TEST(StoreService, AnonymousSessionsStayOutOfTheStore) {
 }
 
 TEST(StoreService, ExportImportRoundTripsOverTheWire) {
-  TuneServer source(store_config(fresh_dir()));
+  const test_util::ScratchDir source_dir("repro_store_svc");
+  TuneServer source(store_config(source_dir.path()));
   source.start();
   Client source_client(client_config(source.port()));
   source_client.connect();
   (void)run_remote(source_client, tenant_open("rs", 16, 7));
 
-  TuneServer target(store_config(fresh_dir()));
+  const test_util::ScratchDir target_dir("repro_store_svc");
+  TuneServer target(store_config(target_dir.path()));
   target.start();
   Client target_client(client_config(target.port()));
   target_client.connect();
@@ -141,7 +139,8 @@ TEST(StoreService, ExportImportRoundTripsOverTheWire) {
 }
 
 TEST(StoreService, ExportPagesOverTheWireWithCursors) {
-  TuneServer server(store_config(fresh_dir()));
+  const test_util::ScratchDir server_dir("repro_store_svc");
+  TuneServer server(store_config(server_dir.path()));
   server.start();
   Client client(client_config(server.port()));
   client.connect();
@@ -180,7 +179,8 @@ TEST(StoreService, ExportPagesOverTheWireWithCursors) {
 }
 
 TEST(StoreService, IncompatibleImportIsRejectedWithATypedError) {
-  TuneServer server(store_config(fresh_dir()));
+  const test_util::ScratchDir server_dir("repro_store_svc");
+  TuneServer server(store_config(server_dir.path()));
   server.start();
   Client client(client_config(server.port()));
   client.connect();
@@ -230,7 +230,8 @@ TEST(StoreService, ColdPathIsByteIdenticalWithAStoreAttached) {
   // algorithms — the store is an observer, never a participant.
   TuneServer plain;
   plain.start();
-  TuneServer stored(store_config(fresh_dir()));
+  const test_util::ScratchDir stored_dir("repro_store_svc");
+  TuneServer stored(store_config(stored_dir.path()));
   stored.start();
   for (const std::string& algorithm : tuner::paper_algorithms()) {
     const OpenParams params = tenant_open(algorithm, 16, 42);
@@ -253,7 +254,8 @@ TEST(StoreService, ColdPathIsByteIdenticalWithAStoreAttached) {
 TEST(StoreService, WarmStartOnAColdStoreIsByteIdenticalToCold) {
   TuneServer plain;
   plain.start();
-  TuneServer stored(store_config(fresh_dir()));
+  const test_util::ScratchDir stored_dir("repro_store_svc");
+  TuneServer stored(store_config(stored_dir.path()));
   stored.start();
   for (const std::string& algorithm : {std::string("bogp"), std::string("botpe")}) {
     Client plain_client(client_config(plain.port()));
@@ -280,13 +282,15 @@ TEST(StoreService, WarmStartOnAColdStoreIsByteIdenticalToCold) {
 TEST(StoreService, WarmStartIsDeterministicAcrossDaemonsWithEqualStores) {
   // Seed daemon A's store with a real session, copy it to daemon B via
   // export/import, then warm-start the same open on both: byte-identical.
-  TuneServer a(store_config(fresh_dir()));
+  const test_util::ScratchDir a_dir("repro_store_svc");
+  TuneServer a(store_config(a_dir.path()));
   a.start();
   Client client_a(client_config(a.port()));
   client_a.connect();
   (void)run_remote(client_a, tenant_open("rs", 24, 3));
 
-  TuneServer b(store_config(fresh_dir()));
+  const test_util::ScratchDir b_dir("repro_store_svc");
+  TuneServer b(store_config(b_dir.path()));
   b.start();
   Client client_b(client_config(b.port()));
   client_b.connect();
@@ -317,7 +321,8 @@ TEST(StoreService, WarmStartIsDeterministicAcrossDaemonsWithEqualStores) {
 }
 
 TEST(StoreService, RecoveryReplaysTheJournaledPriorAndRepopulatesAFreshStore) {
-  const std::string state_dir = fresh_dir();
+  const test_util::ScratchDir state_scratch("repro_store_svc");
+  const std::string state_dir = state_scratch.path();
   const OpenParams warm = tenant_open("botpe", 16, 21, /*warm=*/true);
   const tuner::ParamSpace space = warm.make_space();
 
@@ -333,7 +338,8 @@ TEST(StoreService, RecoveryReplaysTheJournaledPriorAndRepopulatesAFreshStore) {
   // Control: an uninterrupted warm session on its own daemon.
   tuner::TuneResult control;
   {
-    TuneServer server(store_config(fresh_dir()));
+    const test_util::ScratchDir server_dir("repro_store_svc");
+    TuneServer server(store_config(server_dir.path()));
     server.start();
     Client client(client_config(server.port()));
     client.connect();
@@ -345,7 +351,8 @@ TEST(StoreService, RecoveryReplaysTheJournaledPriorAndRepopulatesAFreshStore) {
 
   // Interrupted run: journal to state_dir, crash after 5 tells.
   {
-    ServerConfig config = store_config(fresh_dir());
+    const test_util::ScratchDir config_dir("repro_store_svc");
+    ServerConfig config = store_config(config_dir.path());
     config.limits.state_dir = state_dir;
     TuneServer server(config);
     server.start();
@@ -366,7 +373,8 @@ TEST(StoreService, RecoveryReplaysTheJournaledPriorAndRepopulatesAFreshStore) {
   // session must resume byte-identically — proof the prior comes from the
   // journal, not from a store that no longer holds it — and the replayed
   // tells must repopulate the new store.
-  ServerConfig config = store_config(fresh_dir());
+  const test_util::ScratchDir config_dir("repro_store_svc");
+  ServerConfig config = store_config(config_dir.path());
   config.limits.state_dir = state_dir;
   TuneServer server(config);
   server.start();
